@@ -33,6 +33,7 @@ module Reduce = Xfrag_core.Reduce
 module Filter = Xfrag_core.Filter
 module Query = Xfrag_core.Query
 module Eval = Xfrag_core.Eval
+module Exec = Xfrag_core.Exec
 module Op_stats = Xfrag_core.Op_stats
 module Doctree = Xfrag_doctree.Doctree
 module Lca = Xfrag_doctree.Lca
@@ -67,6 +68,11 @@ let pp_ns ns =
 
 let header title =
   Printf.printf "\n%s\n%s\n%s\n" (String.make 74 '=') title (String.make 74 '=')
+
+(* The request a whole-query experiment sends: its query under one
+   strategy. *)
+let request ?(strategy = Eval.Auto) q =
+  Exec.Request.(of_query q |> with_strategy strategy)
 
 let run_counters f =
   let outcome = f () in
@@ -192,10 +198,10 @@ let t1 () =
   Printf.printf "\n%-14s %-12s %-10s %s\n" "strategy" "time" "joins" "candidates";
   List.iter
     (fun strategy ->
-      let answers, stats = run_counters (fun () -> Eval.run ~strategy ctx q) in
+      let answers, stats = run_counters (fun () -> Eval.exec ctx (request ~strategy q)) in
       let ns =
         time_ns (Eval.strategy_name strategy) (fun () ->
-            ignore (Eval.run ~strategy ctx q))
+            ignore (Eval.exec ctx (request ~strategy q)))
       in
       record ~experiment:"t1" ~scenario:"figure1 size<=3"
         ~strategy:(Eval.strategy_name strategy) ~ns
@@ -335,13 +341,14 @@ let e1 () =
       in
       List.iter
         (fun strategy ->
-          match run_counters (fun () -> Eval.run ~strategy ctx q) with
+          match run_counters (fun () -> Eval.exec ctx (request ~strategy q)) with
           | answers, stats ->
               let label =
                 Printf.sprintf "%s-%d-%d" (Eval.strategy_name strategy) m1 m2
               in
               let ns =
-                time_ns ~quota:0.2 label (fun () -> ignore (Eval.run ~strategy ctx q))
+                time_ns ~quota:0.2 label (fun () ->
+                    ignore (Eval.exec ctx (request ~strategy q)))
               in
               record ~experiment:"e1"
                 ~scenario:(Printf.sprintf "postings %dx%d size<=4" m1 m2)
@@ -390,12 +397,12 @@ let e2 () =
       let q = Query.make ~filter [ "needleone"; "needletwo" ] in
       List.iter
         (fun strategy ->
-          let answers, stats = run_counters (fun () -> Eval.run ~strategy ctx q) in
+          let answers, stats = run_counters (fun () -> Eval.exec ctx (request ~strategy q)) in
           let label =
             Printf.sprintf "%s-b%d" (Eval.strategy_name strategy)
               (if beta = max_int then 0 else beta)
           in
-          let ns = time_ns label (fun () -> ignore (Eval.run ~strategy ctx q)) in
+          let ns = time_ns label (fun () -> ignore (Eval.exec ctx (request ~strategy q))) in
           record ~experiment:"e2"
             ~scenario:
               (Printf.sprintf "postings 9x9 beta=%s"
@@ -455,7 +462,7 @@ let e3 () =
           ( "naive",
             fun stats s -> Xfrag_core.Fixed_point.naive ?stats ctx s );
           ( "set-reduction",
-            fun stats s -> Xfrag_core.Fixed_point.with_reduction_unchecked ?stats ctx s );
+            fun stats s -> Xfrag_core.Fixed_point.with_reduction ?stats ~checked:false ctx s );
         ]
       in
       List.iter
@@ -687,18 +694,18 @@ let a1 () =
     (fun (name, tree, keywords, filter) ->
       let ctx = Context.create tree in
       let q = Query.make ~filter keywords in
-      let auto = Eval.run ctx q in
-      let auto_ns = time_ns (name ^ "-auto") (fun () -> ignore (Eval.run ctx q)) in
+      let auto = Eval.exec ctx (request q) in
+      let auto_ns = time_ns (name ^ "-auto") (fun () -> ignore (Eval.exec ctx (request q))) in
       let manual =
         List.filter_map
           (fun strategy ->
-            match Eval.run ~strategy ctx q with
+            match Eval.exec ctx (request ~strategy q) with
             | _ ->
                 Some
                   ( strategy,
                     time_ns
                       (name ^ "-" ^ Eval.strategy_name strategy)
-                      (fun () -> ignore (Eval.run ~strategy ctx q)) )
+                      (fun () -> ignore (Eval.exec ctx (request ~strategy q))) )
             | exception Invalid_argument _ -> None)
           Eval.all_strategies
       in
@@ -719,7 +726,7 @@ let a1 () =
 
 let obs () =
   header
-    "OBS: tracing overhead - semi-naive Eval.run with the no-op tracer vs an\n\
+    "OBS: tracing overhead - semi-naive Eval.exec with the no-op tracer vs an\n\
      enabled span recorder (disabled must stay within noise of the seed)";
   let tree =
     Docgen.with_planted_keywords
@@ -731,15 +738,17 @@ let obs () =
   let strategy = Eval.Semi_naive in
   let spans =
     let trace = Xfrag_obs.Trace.create () in
-    ignore (Eval.run ~strategy ~trace ctx q);
+    ignore (Eval.exec ctx (Exec.Request.with_trace trace (request ~strategy q)));
     List.length (Xfrag_obs.Trace.spans trace)
   in
   let ns_off =
-    time_ns ~quota:0.5 "trace-disabled" (fun () -> ignore (Eval.run ~strategy ctx q))
+    time_ns ~quota:0.5 "trace-disabled" (fun () -> ignore (Eval.exec ctx (request ~strategy q)))
   in
   let ns_on =
     time_ns ~quota:0.5 "trace-enabled" (fun () ->
-        ignore (Eval.run ~strategy ~trace:(Xfrag_obs.Trace.create ()) ctx q))
+        ignore
+          (Eval.exec ctx
+             (Exec.Request.with_trace (Xfrag_obs.Trace.create ()) (request ~strategy q))))
   in
   Printf.printf "query: {needleone, needletwo} 8x8, size<=4, strategy semi-naive\n\n";
   Printf.printf "%-18s %s\n" "tracer" "time/query";
@@ -759,7 +768,7 @@ module Fault = Xfrag_fault.Fault
 
 let f1 () =
   header
-    "F1: fault-injection overhead - Eval.run with every failpoint disarmed\n\
+    "F1: fault-injection overhead - Eval.exec with every failpoint disarmed\n\
      (production steady state: one atomic load per site) vs one armed but\n\
      never-firing site forcing the locked slow path at every hit";
   let tree =
@@ -777,7 +786,7 @@ let f1 () =
   in
   let ns_disarmed =
     time_ns ~quota:0.5 "failpoints-disarmed" (fun () ->
-        ignore (Eval.run ~strategy ctx q))
+        ignore (Eval.exec ctx (request ~strategy q)))
   in
   (* A Key trigger whose key is never supplied: every hit takes the lock,
      evaluates the trigger, and declines to fire — the worst case a chaos
@@ -790,7 +799,7 @@ let f1 () =
   in
   let ns_armed =
     time_ns ~quota:0.5 "failpoints-armed-unrelated" (fun () ->
-        ignore (Eval.run ~strategy ctx q))
+        ignore (Eval.exec ctx (request ~strategy q)))
   in
   Fault.Failpoint.reset ();
   Printf.printf "query: {needleone, needletwo} 8x8, size<=4, strategy semi-naive\n\n";
@@ -838,10 +847,10 @@ let c1 () =
   List.iter
     (fun strategy ->
       let name = Eval.strategy_name strategy in
-      let baseline, off_stats = run_counters (fun () -> Eval.run ~strategy ctx q) in
+      let baseline, off_stats = run_counters (fun () -> Eval.exec ctx (request ~strategy q)) in
       let ns_off =
         time_ns ~quota:0.2 (name ^ "-off") (fun () ->
-            ignore (Eval.run ~strategy ctx q))
+            ignore (Eval.exec ctx (request ~strategy q)))
       in
       record ~experiment:"c1" ~scenario ~strategy:name ~ns:ns_off
         [
@@ -859,16 +868,17 @@ let c1 () =
              queries amortize the memo table. *)
           let make () = Join_cache.create ~capacity ?admission () in
           let cold_cache = make () in
+          let cached cache = Exec.Request.with_cache (Some cache) (request ~strategy q) in
           let answers, stats =
-            run_counters (fun () -> Eval.run ~strategy ~cache:cold_cache ctx q)
+            run_counters (fun () -> Eval.exec ctx (cached cold_cache))
           in
           assert (Frag_set.equal answers baseline);
-          let warm_cache = make () in
-          ignore (Eval.run ~strategy ~cache:warm_cache ctx q);
+          let warm = cached (make ()) in
+          ignore (Eval.exec ctx warm);
           let ns_on =
             time_ns ~quota:0.2
               (Printf.sprintf "%s-%s" name label)
-              (fun () -> ignore (Eval.run ~strategy ~cache:warm_cache ctx q))
+              (fun () -> ignore (Eval.exec ctx warm))
           in
           record ~experiment:"c1" ~scenario ~strategy:name ~ns:ns_on
             [
@@ -1038,7 +1048,6 @@ let s1 () =
 (* --- P1: sharded corpus execution ---------------------------------------- *)
 
 module Corpus = Xfrag_core.Corpus
-module Exec = Xfrag_core.Exec
 module Shard_pool = Xfrag_core.Shard_pool
 module Ranking = Xfrag_baselines.Ranking
 

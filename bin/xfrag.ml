@@ -154,9 +154,11 @@ let explain_analyze_arg =
     value & flag
     & info [ "explain-analyze" ]
         ~doc:
-          "Execute the optimizer's chosen plan and print a per-operator \
-           tree annotated with measured wall time, input/output \
-           cardinalities, and operation-counter deltas.")
+          "Run the plan the query runs (same strategy, strict-leaf and \
+           cache) and print it as a per-operator tree annotated with \
+           measured wall time, input/output cardinalities, and \
+           operation-counter deltas, the Auto strategy's reduction-factor \
+           probe included.")
 
 let trace_out_arg =
   Arg.(
@@ -357,7 +359,10 @@ let run_explain file keywords filter_str verbose =
       1
 
 let explain_cmd =
-  let doc = "Show the optimizer's plan candidates and chosen evaluation tree." in
+  let doc =
+    "Show the plan the Auto strategy runs, its cost estimate and the \
+     reduction factors its gate probed."
+  in
   Cmd.v
     (Cmd.info "explain" ~doc)
     Term.(const run_explain $ file_arg $ keywords_arg $ filter_arg $ verbose_arg)

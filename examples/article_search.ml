@@ -41,7 +41,7 @@ let () =
   (* The algebra, with height and size limits keeping answers readable. *)
   let filter = Filter.And (Filter.Size_at_most 5, Filter.Height_at_most 2) in
   let q = Query.make ~filter keywords in
-  let outcome = Eval.run ctx q in
+  let outcome = Eval.exec ctx (Xfrag_core.Exec.Request.of_query q) in
   Format.printf "@.algebraic answers (%d, strategy %s, filter %s):@."
     (Frag_set.cardinal outcome.Eval.answers)
     (Eval.strategy_name outcome.Eval.strategy_used)

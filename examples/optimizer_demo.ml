@@ -1,6 +1,7 @@
-(* The plan-level optimizer at work (§3, §5): initial plan, Theorem 2 /
-   Theorem 1 / Theorem 3 rewrites, cost estimates, reduction-factor
-   probing, and measured operation counts for each strategy.
+(* The plan-level optimizer at work (§3, §5): the initial plan, the plan
+   shape each strategy derives from it through the Theorem 2 / Theorem 1
+   / Theorem 3 rewrites with its cost estimate, Auto's reduction-factor
+   gate, and measured operation counts for each strategy.
 
      dune exec examples/optimizer_demo.exe *)
 
@@ -8,8 +9,8 @@ module Context = Xfrag_core.Context
 module Filter = Xfrag_core.Filter
 module Query = Xfrag_core.Query
 module Eval = Xfrag_core.Eval
+module Exec = Xfrag_core.Exec
 module Plan = Xfrag_core.Plan
-module Rewrite = Xfrag_core.Rewrite
 module Cost = Xfrag_core.Cost
 module Optimizer = Xfrag_core.Optimizer
 module Docgen = Xfrag_workload.Docgen
@@ -19,19 +20,21 @@ let rule () = Format.printf "%s@." (String.make 72 '-')
 let show_query ctx q =
   Format.printf "query: %a@." Query.pp q;
   rule ();
-  let initial = Plan.initial q in
-  Format.printf "initial plan:        %a@." Plan.pp initial;
-  let base = Rewrite.power_to_fixpoint initial in
-  Format.printf "Theorem 2 rewrite:   %a@." Plan.pp base;
-  Format.printf "Theorem 1 rewrite:   %a@." Plan.pp (Rewrite.use_reduction base);
-  Format.printf "Theorem 3 rewrite:   %a@." Plan.pp (Rewrite.push_selection base);
+  Format.printf "initial plan: %a@." Plan.pp (Plan.initial q);
+  Format.printf "plan and estimated cost per strategy:@.";
+  List.iter
+    (fun strategy ->
+      let plan = Optimizer.plan_of strategy q in
+      Format.printf "  %-14s %10.1f  %a@." (Eval.strategy_name strategy)
+        (Cost.cost ctx plan) Plan.pp plan)
+    Eval.all_strategies;
   rule ();
   print_string (Optimizer.explain ctx q);
   rule ();
   Format.printf "measured operation counts per strategy:@.";
   List.iter
     (fun strategy ->
-      match Eval.run ~strategy ctx q with
+      match Eval.exec ctx Exec.Request.(of_query q |> with_strategy strategy) with
       | outcome ->
           Format.printf "  %-14s answers=%-4d %a@."
             (Eval.strategy_name strategy)

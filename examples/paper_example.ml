@@ -53,7 +53,9 @@ let () =
   Format.printf "final answer under each strategy:@.";
   List.iter
     (fun strategy ->
-      let outcome = Eval.run ~strategy ctx q in
+      let outcome =
+        Eval.exec ctx Xfrag_core.Exec.Request.(of_query q |> with_strategy strategy)
+      in
       Format.printf "  %-14s -> %d fragments, %a@."
         (Eval.strategy_name strategy)
         (Frag_set.cardinal outcome.Eval.answers)

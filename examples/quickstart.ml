@@ -36,7 +36,7 @@ let () =
 
   (* 3. Evaluate.  The default Auto strategy pushes the filter below the
      joins (Theorem 3) because it is anti-monotonic. *)
-  let outcome = Eval.run ctx query in
+  let outcome = Eval.exec ctx (Xfrag_core.Exec.Request.of_query query) in
   Format.printf "%d answers via %s:@."
     (Frag_set.cardinal outcome.Eval.answers)
     (Eval.strategy_name outcome.Eval.strategy_used);

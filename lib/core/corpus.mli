@@ -230,24 +230,6 @@ val run :
     as a single exception — callers should pre-validate requests with
     {!Exec.Request.of_json} / {!Query.make}. *)
 
-val search : ?strategy:Eval.strategy -> t -> Query.t -> hit list
-  [@@deprecated "use Corpus.run with an Exec.Request.t"]
-(** All answers across the corpus, grouped by document name (sorted) and
-    {!Fragment.compare} within a document.
-    @deprecated Thin wrapper over {!run} (identical answers). *)
-
-val search_scored :
-  scorer:(Context.t -> Fragment.t -> float) ->
-  ?strategy:Eval.strategy ->
-  ?limit:int ->
-  t ->
-  Query.t ->
-  (hit * float) list
-  [@@deprecated "use Corpus.run with an Exec.Request.t"]
-(** Answers ordered by descending score (ties by document/fragment
-    order); [limit] truncates (default: no truncation).
-    @deprecated Thin wrapper over {!run} (identical ranking). *)
-
 val document_frequency : t -> string -> int
 (** Number of documents whose index contains the keyword — an O(log n)
     posting-list lookup on the corpus index when present, a rescan of

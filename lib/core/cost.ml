@@ -33,44 +33,39 @@ let rec estimate (ctx : Context.t) plan =
   | Plan.Select (p, x) ->
       let e = estimate ctx x in
       { cost = e.cost +. e.cardinality; cardinality = e.cardinality *. selectivity p }
-  | Plan.Pair_join (a, b) ->
-      let ea = estimate ctx a and eb = estimate ctx b in
-      let produced = ea.cardinality *. eb.cardinality in
-      { cost = ea.cost +. eb.cost +. produced; cardinality = cap produced }
-  | Plan.Pair_join_filtered (p, a, b) ->
-      let ea = estimate ctx a and eb = estimate ctx b in
+  | Plan.Strict_leaf x -> estimate ctx (Plan.Select (Filter.True, x))
+  | Plan.Join { prune; left; right } ->
+      let ea = estimate ctx left and eb = estimate ctx right in
       let produced = ea.cardinality *. eb.cardinality in
       {
         cost = ea.cost +. eb.cost +. produced;
-        cardinality = cap (produced *. selectivity p);
+        cardinality = cap (produced *. selectivity prune);
       }
-  | Plan.Power_join (a, b) ->
+  | Plan.Power_join xs ->
       (* Literal powerset join: exponential in the operand sizes. *)
-      let ea = estimate ctx a and eb = estimate ctx b in
+      let es = List.map (estimate ctx) xs in
       let subsets x = Float.min set_growth_cap (Float.pow 2.0 (Float.min x 40.0)) in
-      let produced = subsets ea.cardinality *. subsets eb.cardinality in
-      { cost = ea.cost +. eb.cost +. cap produced; cardinality = cap produced }
-  | Plan.Fixed_point x | Plan.Fixed_point_reduced x ->
-      let e = estimate ctx x in
-      let rounds =
-        match plan with
-        | Plan.Fixed_point_reduced _ ->
-            (* Reduction typically shrinks the round count; we assume
-               half, plus the |F|² ⊖ probe. *)
-            Float.max 1.0 (e.cardinality /. 2.0)
-        | _ -> e.cardinality
+      let produced =
+        cap (List.fold_left (fun acc e -> acc *. subsets e.cardinality) 1.0 es)
       in
-      let out = cap (e.cardinality *. e.cardinality) in
-      let probe =
-        match plan with
-        | Plan.Fixed_point_reduced _ -> e.cardinality *. e.cardinality
-        | _ -> 0.0
+      {
+        cost = List.fold_left (fun acc e -> acc +. e.cost) produced es;
+        cardinality = produced;
+      }
+  | Plan.Fixed_point { prune; rounds; seed } ->
+      let e = estimate ctx seed in
+      let s = selectivity prune in
+      let n = e.cardinality *. s in
+      let out = cap (n *. n *. s) in
+      let joins =
+        match rounds with
+        | Plan.Until_stable -> n *. out *. n /. 4.0
+        | Plan.Theorem1 ->
+            (* Reduction typically halves the round count, plus the
+               |F|² ⊖ probe. *)
+            (n *. n) +. (Float.max 1.0 (n /. 2.0) *. out *. n /. 4.0)
+        | Plan.Delta -> out *. n (* each discovery meets the seed once *)
       in
-      { cost = e.cost +. probe +. (rounds *. out *. e.cardinality /. 4.0); cardinality = out }
-  | Plan.Fixed_point_filtered (p, x) ->
-      let e = estimate ctx x in
-      let seed = e.cardinality *. selectivity p in
-      let out = cap (seed *. seed *. selectivity p) in
-      { cost = e.cost +. (seed *. out); cardinality = out }
+      { cost = e.cost +. joins; cardinality = out }
 
 let cost ctx plan = (estimate ctx plan).cost

@@ -8,16 +8,17 @@
     - a scan costs its posting-list length;
     - a pairwise join of estimated sizes a and b costs a·b and yields up
       to a·b fragments;
-    - a fixed point over a set of estimated size a runs an estimated
-      r = min(a, round_cap) rounds of self-joins with a growth cap (the
-      output of a fixed point cannot exceed the number of connected
-      fragments, which we bound by [set_growth_cap]);
+    - a fixed point over a (pruned) seed of estimated size n yields up
+      to n² fragments and costs about n rounds of joins against the
+      seed, fewer under Theorem 1's round count, one join per fragment
+      under delta iteration;
     - a selection costs its input size; its output is input size times a
-      per-filter selectivity estimate.
+      per-filter selectivity estimate;
+    - every cardinality is capped at [set_growth_cap].
 
-    The model exists to rank alternative plans, not to predict wall
-    time; the bench harness measures how well the ranking matches
-    reality. *)
+    The estimate is printed beside a plan (EXPLAIN, [xfrag explain]) so
+    a misestimate shows next to the measured counters; it does not
+    choose plans — {!Optimizer} decides by §5's rule. *)
 
 type estimate = { cost : float; cardinality : float }
 

@@ -22,9 +22,10 @@
       seed (see {!Fixed_point.semi_naive}).
     - {!Auto}: the {!Optimizer}'s choice.
 
-    When [strict_leaf_semantics] is set, answers are additionally
-    filtered by Definition 8's leaf-occurrence requirement (see
-    {!Query}). *)
+    Each strategy is a fixed {!Plan.t} shape ({!Optimizer.plan_of}) run
+    by the one interpreter {!Plan.run}.  When [strict_leaf] is set,
+    answers are additionally filtered by Definition 8's leaf-occurrence
+    requirement (see {!Query}). *)
 
 type strategy = Exec.strategy =
   | Brute_force
@@ -46,10 +47,9 @@ type outcome = {
   elapsed_ns : int;  (** wall-clock time of the whole evaluation *)
   phase_ns : (string * int) list;
       (** coarse wall-clock breakdown, in execution order: [scan]
-          (posting-list lookups), [evaluate] (strategy choice, joins,
-          fixed points, final selection) and, when requested,
-          [strict-leaf].  Measured with a handful of clock reads, so it
-          is present whether or not tracing is enabled. *)
+          (posting-list lookups and the strategy choice) and [evaluate]
+          (running the plan).  Measured with a handful of clock reads, so
+          it is present whether or not tracing is enabled. *)
 }
 
 val strategy_name : strategy -> string
@@ -64,8 +64,10 @@ val all_strategies : strategy list
 val exec : ?clock:Xfrag_obs.Clock.t -> Context.t -> Exec.Request.t -> outcome
 (** Evaluate an {!Exec.Request.t} — the primary entry point; the CLI,
     the HTTP endpoints, and the sharded corpus engine all build one
-    request value and land here.  A keyword with an empty posting list
-    makes the answer empty (conjunctive semantics).  The request's
+    request value and land here.  It scans the keywords, lets
+    {!Optimizer.decide} build the plan, and runs it with {!Plan.run}.
+    A keyword with an empty posting list makes the answer empty
+    (conjunctive semantics) without any join.  The request's
     [limit] is presentation-side and is {e not} applied here: [answers]
     is always the full set (the corpus engine and the endpoints
     truncate).
@@ -90,21 +92,6 @@ val exec : ?clock:Xfrag_obs.Clock.t -> Context.t -> Exec.Request.t -> outcome
     [Brute_force] is asked to enumerate a keyword set above the
     exponential-enumeration guard. *)
 
-val run :
-  ?strategy:strategy ->
-  ?strict_leaf_semantics:bool ->
-  ?cache:Join_cache.t ->
-  ?trace:Xfrag_obs.Trace.t ->
-  ?clock:Xfrag_obs.Clock.t ->
-  ?deadline:Deadline.t ->
-  Context.t ->
-  Query.t ->
-  outcome
-(** @deprecated Thin wrapper kept for one release: builds an
-    {!Exec.Request.t} from the optional arguments and calls {!exec}.
-    New code should construct the request with the {!Exec.Request}
-    builders instead.  Semantics are exactly {!exec}'s. *)
-
 val answers :
   ?strategy:strategy ->
   ?strict_leaf_semantics:bool ->
@@ -113,6 +100,5 @@ val answers :
   Context.t ->
   Query.t ->
   Frag_set.t
-(** [run] without the accounting.
-    @deprecated Same wrapper status as {!run}: prefer
-    [(Eval.exec ctx request).answers]. *)
+(** [(exec ctx request).answers] for a request built from [q] and the
+    optional arguments; a shorthand for tests and examples. *)

@@ -11,8 +11,10 @@ type node = {
 
 type report = {
   query : Query.t;
+  strategy : Exec.strategy;
   plan : Plan.t;
   estimated_cost : float;
+  probe : node option;
   root : node;
   answers : Frag_set.t;
   total_ns : int;
@@ -21,106 +23,96 @@ type report = {
 let rec total_ns n =
   List.fold_left (fun acc c -> acc + total_ns c) n.self_ns n.children
 
-let filter_str p = Format.asprintf "%a" Filter.pp p
-
-let op_label = function
-  | Plan.Scan_keyword k -> Printf.sprintf "scan %s" k
-  | Plan.Select (p, _) -> Printf.sprintf "\xCF\x83 %s" (filter_str p)
-  | Plan.Pair_join _ -> "\xE2\x8B\x88"
-  | Plan.Pair_join_filtered (p, _, _) ->
-      Printf.sprintf "\xE2\x8B\x88 [prune %s]" (filter_str p)
-  | Plan.Power_join _ -> "\xE2\x8B\x88*"
-  | Plan.Fixed_point _ -> "fixed-point"
-  | Plan.Fixed_point_reduced _ -> "fixed-point [rounds=|\xE2\x8A\x96|]"
-  | Plan.Fixed_point_filtered (p, _) ->
-      Printf.sprintf "fixed-point [prune %s]" (filter_str p)
-
 (* [to_assoc] key order is stable, so positional subtraction is safe. *)
 let counter_delta before after =
   List.map2 (fun (_, a) (k, b) -> (k, b - a)) before after
   |> List.filter (fun (_, d) -> d <> 0)
 
-let analyze_query ?(clock = Clock.monotonic) ?cache ?deadline ctx (q : Query.t) =
-  let choice = Optimizer.optimize ctx q in
+let analyze_request ?(clock = Clock.monotonic) ctx (r : Exec.Request.t) =
+  let q = Exec.Request.to_query r in
   let stats = Op_stats.create () in
-  (* Post-order: children are fully evaluated (and timed) first, so the
-     window around the operator's own application measures it
-     exclusively. *)
-  let rec go plan =
-    let children =
-      match plan with
-      | Plan.Scan_keyword _ -> []
-      | Plan.Select (_, x)
-      | Plan.Fixed_point x
-      | Plan.Fixed_point_reduced x
-      | Plan.Fixed_point_filtered (_, x) ->
-          [ go x ]
-      | Plan.Pair_join (a, b)
-      | Plan.Pair_join_filtered (_, a, b)
-      | Plan.Power_join (a, b) ->
-          [ go a; go b ]
-    in
-    let child_sets = List.map fst children in
-    let apply () =
-      match (plan, child_sets) with
-      | Plan.Scan_keyword k, [] -> Selection.keyword ctx k
-      | Plan.Select (p, _), [ s ] -> Selection.select ~stats ctx p s
-      | Plan.Pair_join _, [ a; b ] -> Join.pairwise ~stats ?cache ?deadline ctx a b
-      | Plan.Pair_join_filtered (p, _, _), [ a; b ] ->
-          Join.pairwise_filtered ~stats ?cache ?deadline ctx
-            ~keep:(Filter.evaluate ctx p) a b
-      | Plan.Power_join _, [ a; b ] ->
-          Powerset.via_fixed_points ~stats ?cache ?deadline ctx a b
-      | Plan.Fixed_point _, [ s ] -> Fixed_point.naive ~stats ?cache ?deadline ctx s
-      | Plan.Fixed_point_reduced _, [ s ] ->
-          Fixed_point.with_reduction ~stats ?cache ?deadline ctx s
-      | Plan.Fixed_point_filtered (p, _), [ s ] ->
-          Fixed_point.naive_filtered ~stats ?cache ?deadline ctx
-            ~keep:(Filter.evaluate ctx p) s
-      | _ -> assert false
-    in
+  let window f =
     let before = Op_stats.to_assoc stats in
     let t0 = clock () in
-    let out = apply () in
+    let out = f () in
     let t1 = clock () in
-    let node =
-      {
-        op = op_label plan;
-        rows = Frag_set.cardinal out;
-        in_rows = List.map Frag_set.cardinal child_sets;
-        self_ns = t1 - t0;
-        counters = counter_delta before (Op_stats.to_assoc stats);
-        children = List.map snd children;
-      }
-    in
-    (out, node)
+    (out, t1 - t0, counter_delta before (Op_stats.to_assoc stats))
   in
-  let answers, root = go choice.Optimizer.plan in
+  (* The same steps as [Eval.exec], each inside a window. *)
+  let scanned =
+    List.map (fun k -> (k, window (fun () -> Selection.keyword ctx k))) q.keywords
+  in
+  let scans = List.map (fun (k, (s, _, _)) -> (k, s)) scanned in
+  let d, probe_ns, probe_counters =
+    window (fun () -> Optimizer.decide ~stats ctx r q scans)
+  in
+  (* [Plan.run] finishes a node's inputs right before the node, so its
+     children are the last [List.length inputs] nodes finished. *)
+  let finished = ref [] in
+  let rec take n acc =
+    match (n, !finished) with
+    | 0, _ | _, [] -> acc
+    | n, x :: rest ->
+        finished := rest;
+        take (n - 1) (x :: acc)
+  in
+  let observe plan inputs apply =
+    let out, self_ns, counters =
+      match plan with
+      | Plan.Scan_keyword k ->
+          (* Scanned above, before the optimizer ran. *)
+          let _, ns, counters = List.assoc k scanned in
+          (apply (), ns, counters)
+      | _ -> window apply
+    in
+    let children = take (List.length inputs) [] in
+    finished :=
+      {
+        op = Plan.label plan;
+        rows = Frag_set.cardinal out;
+        in_rows = List.map Frag_set.cardinal inputs;
+        self_ns;
+        counters;
+        children;
+      }
+      :: !finished;
+    out
+  in
+  let answers =
+    Plan.run ~stats ?cache:d.cache ~deadline:r.Exec.Request.deadline ~scans
+      ~reduced:d.reduced ~observe ctx d.plan
+  in
+  let root = List.hd !finished in
+  let probe =
+    match d.reduced with
+    | [] -> None
+    | reduced ->
+        let rf (k, red) =
+          Printf.sprintf "%s=%.2f" k
+            (Reduce.factor_of ~original:(List.assoc k scans) ~reduced:red)
+        in
+        Some
+          {
+            op =
+              Printf.sprintf "\xE2\x8A\x96 probe (RF %s)"
+                (String.concat " " (List.map rf reduced));
+            rows = List.fold_left (fun n (_, red) -> n + Frag_set.cardinal red) 0 reduced;
+            in_rows = List.map (fun (_, s) -> Frag_set.cardinal s) scans;
+            self_ns = probe_ns;
+            counters = probe_counters;
+            children = [];
+          }
+  in
   {
     query = q;
-    plan = choice.Optimizer.plan;
-    estimated_cost = choice.Optimizer.estimated_cost;
+    strategy = d.strategy;
+    plan = d.plan;
+    estimated_cost = Cost.cost ctx d.plan;
+    probe;
     root;
     answers;
-    total_ns = total_ns root;
+    total_ns = Option.fold ~none:0 ~some:total_ns probe + total_ns root;
   }
-
-let analyze_request ?clock ctx (r : Exec.Request.t) =
-  let q = Exec.Request.to_query r in
-  let deadline = r.Exec.Request.deadline in
-  (* Mirror Eval's strategy-aware attachment: the optimizer picks a
-     pruned (filtered) plan exactly when the filter has a usable
-     anti-monotone part, so gate the cache on the same predicate. *)
-  let cache =
-    match r.Exec.Request.cache with
-    | Some c ->
-        let am, _ = Filter.decompose q.Query.filter in
-        if Join_cache.pays c ~pruned:(am <> Filter.True) then Some c else None
-    | None -> None
-  in
-  analyze_query ?clock ?cache ~deadline ctx q
-
-let analyze ?clock ?cache ?deadline ctx q = analyze_query ?clock ?cache ?deadline ctx q
 
 let pp_node ppf root =
   let rec go indent n =
@@ -145,10 +137,12 @@ let pp_node ppf root =
 let pp ppf r =
   Format.fprintf ppf "@[<v>EXPLAIN ANALYZE@,";
   Format.fprintf ppf "query: %a@," Query.pp r.query;
+  Format.fprintf ppf "strategy: %s@," (Exec.strategy_name r.strategy);
   Format.fprintf ppf "plan:  %a@," Plan.pp r.plan;
   Format.fprintf ppf "estimated cost: %.1f@," r.estimated_cost;
   Format.fprintf ppf "actual: total %s, %d answer fragment(s)@,@,"
     (Clock.ns_to_string r.total_ns)
     (Frag_set.cardinal r.answers);
+  Option.iter (pp_node ppf) r.probe;
   pp_node ppf r.root;
   Format.fprintf ppf "@]"

@@ -1,19 +1,19 @@
-(** EXPLAIN ANALYZE: execute the optimizer's chosen plan and annotate
-    every operator with what actually happened — wall time, input and
-    output cardinalities, and the operation-counter deltas (joins,
-    pruned, duplicates, …) attributable to it.
+(** EXPLAIN ANALYZE: run the plan [Eval.exec] would run for the same
+    request — the same {!Optimizer.decide} and the same {!Plan.run} —
+    and annotate every operator with what actually happened: wall time,
+    input and output cardinalities, and the {!Op_stats} deltas
+    attributable to it.  The only difference from [Eval.exec] is the
+    per-operator clock and counter windows, so the answers are
+    [Eval.exec]'s and the counter deltas, probe included, sum to its
+    [stats] (property-tested).
 
-    This is the audit view for {!Optimizer} / {!Eval.Auto}: the
-    estimated cost that drove the plan choice is printed next to the
-    measured per-operator reality, so a mis-costed rewrite is visible at
-    a glance.
-
-    Timings use an injectable {!Xfrag_obs.Clock.t}; pass
-    {!Xfrag_obs.Clock.counter} to make the rendering deterministic
-    (snapshot tests). *)
+    The {!Cost} estimate is printed next to the measured per-operator
+    reality, so a misestimate is visible at a glance.  Timings use an
+    injectable {!Xfrag_obs.Clock.t}; pass {!Xfrag_obs.Clock.counter} to
+    make the rendering deterministic (snapshot tests). *)
 
 type node = {
-  op : string;  (** rendered operator, e.g. ["σ size<=3"] or ["⋈"] *)
+  op : string;  (** rendered operator ({!Plan.label}) *)
   rows : int;  (** output cardinality *)
   in_rows : int list;  (** input cardinalities, one per child *)
   self_ns : int;  (** wall time of this operator, children excluded *)
@@ -25,41 +25,25 @@ type node = {
 
 type report = {
   query : Query.t;
-  plan : Plan.t;  (** the optimizer's winner, the plan that was run *)
-  estimated_cost : float;  (** the {!Cost} price that made it win *)
+  strategy : Exec.strategy;  (** the strategy that ran, [Auto] resolved *)
+  plan : Plan.t;  (** the plan that ran *)
+  estimated_cost : float;  (** the {!Cost} estimate of [plan] *)
+  probe : node option;
+      (** the optimizer's ⊖ probe, when [Auto] ran one: its joins and
+          subset checks happen before the plan starts *)
   root : node;
   answers : Frag_set.t;
-  total_ns : int;  (** inclusive wall time of the whole plan *)
+  total_ns : int;  (** inclusive wall time of the probe and the plan *)
 }
 
 val analyze_request : ?clock:Xfrag_obs.Clock.t -> Context.t -> Exec.Request.t -> report
-(** Optimize the request's query, execute the winning plan operator by
-    operator, and annotate — the {!Exec.Request} entry point used by
-    [POST /explain] and the CLI.  Uses the request's [cache] and
-    [deadline]; [strategy] is ignored (the optimizer picks the plan) and
-    [limit]/[strict_leaf] are presentation concerns EXPLAIN does not
-    model.
+(** Profile the request's evaluation — the entry point of
+    [POST /explain] and [xfrag query --explain-analyze].  Honors the
+    request's strategy, strict-leaf flag, cache and deadline; [limit]
+    is a presentation concern and [trace] is not recorded.
     @raise Deadline.Expired once the request deadline passes.
-    @raise Invalid_argument when no keyword survives normalization. *)
-
-val analyze :
-  ?clock:Xfrag_obs.Clock.t ->
-  ?cache:Join_cache.t ->
-  ?deadline:Deadline.t ->
-  Context.t ->
-  Query.t ->
-  report
-(** @deprecated Optional-argument wrapper around {!analyze_request},
-    kept for one release.
-
-    Optimize [q], execute the winning plan operator by operator, and
-    annotate.  The answers equal [Eval.answers ctx q] for the same plan
-    semantics (property-tested).  With [cache], join operators serve
-    repeated fragment joins from the memo table; the per-operator
-    counter deltas then include [cache_hits]/[cache_misses]/
-    [cache_evictions] (zero deltas are omitted, so cache-less reports
-    are unchanged).  [deadline] bounds the execution like {!Eval.run}'s.
-    @raise Deadline.Expired once [deadline] passes. *)
+    @raise Invalid_argument when no keyword survives normalization, or
+    [Brute_force] meets a keyword set above the enumeration guard. *)
 
 val total_ns : node -> int
 (** Inclusive time: [self_ns] plus all descendants. *)
@@ -67,5 +51,5 @@ val total_ns : node -> int
 val pp_node : Format.formatter -> node -> unit
 
 val pp : Format.formatter -> report -> unit
-(** The full report: query, plan, estimated cost, measured total, and
-    the indented per-operator tree. *)
+(** The full report: query, strategy, plan, estimated cost, measured
+    total, and the indented per-operator tree after the probe line. *)

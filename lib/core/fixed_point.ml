@@ -36,8 +36,13 @@ let traced_fixed_point trace name seed_size f =
 let step ?stats ?cache ?trace ?deadline ctx ~keep acc seed =
   Join.pairwise_filtered ?stats ?cache ?trace ?deadline ctx ~keep acc seed
 
-let naive_general ?stats ?cache ?(trace = Trace.disabled)
-    ?(deadline = Deadline.none) ~name ctx ~keep set =
+let naive ?stats ?cache ?(trace = Trace.disabled) ?(deadline = Deadline.none)
+    ?keep ctx set =
+  let name, keep =
+    match keep with
+    | None -> ("fixed-point", fun _ -> true)
+    | Some keep -> ("fixed-point:pruned", keep)
+  in
   let seed = Frag_set.filter keep set in
   if Frag_set.is_empty seed then seed
   else
@@ -53,11 +58,6 @@ let naive_general ?stats ?cache ?(trace = Trace.disabled)
           else go (n + 1) next
         in
         go 1 seed)
-
-let naive ?stats ?cache ?trace ?deadline ctx set =
-  naive_general ?stats ?cache ?trace ?deadline ~name:"fixed-point" ctx
-    ~keep:(fun _ -> true)
-    set
 
 (* Delta iteration: only last round's discoveries are joined against the
    seed.  Complete because every k-fold join factors as a (k−1)-fold
@@ -88,10 +88,6 @@ let semi_naive ?stats ?cache ?(trace = Trace.disabled)
         in
         go 1 seed seed)
 
-let naive_filtered ?stats ?cache ?trace ?deadline ctx ~keep set =
-  naive_general ?stats ?cache ?trace ?deadline ~name:"fixed-point:pruned" ctx
-    ~keep set
-
 let iterate ?stats ?cache ?trace ?deadline ctx n set =
   if n < 1 then invalid_arg "Fixed_point.iterate: n must be at least 1";
   let rec go acc remaining =
@@ -107,11 +103,12 @@ let iterate ?stats ?cache ?trace ?deadline ctx n set =
 
 (* Theorem 1: k = |⊖(seed)| rounds reach the fixed point with no
    per-round convergence check.  The claim is only valid for single-node
-   seeds (see the erratum in the interface); [confirm] appends a checked
-   loop that makes the result correct for arbitrary seeds at the price of
-   at least one confirming round. *)
-let with_reduction_general ?stats ?cache ?(trace = Trace.disabled)
-    ?(deadline = Deadline.none) ?reduced ctx ~keep ~confirm set =
+   seeds (see the erratum in the interface); [checked] appends a
+   convergence loop that makes the result correct for arbitrary seeds at
+   the price of at least one confirming round. *)
+let with_reduction ?stats ?cache ?(trace = Trace.disabled)
+    ?(deadline = Deadline.none) ?(keep = fun _ -> true) ?reduced
+    ?(checked = true) ctx set =
   let seed = Frag_set.filter keep set in
   if Frag_set.is_empty seed then seed
   else
@@ -140,7 +137,7 @@ let with_reduction_general ?stats ?cache ?(trace = Trace.disabled)
           end
         in
         let n, acc = fast_forward 1 seed (k - 1) in
-        if not confirm then acc
+        if not checked then acc
         else begin
           let rec converge n acc =
             Deadline.check deadline;
@@ -155,21 +152,3 @@ let with_reduction_general ?stats ?cache ?(trace = Trace.disabled)
           converge n acc
         end)
 
-let with_reduction ?stats ?cache ?trace ?deadline ctx set =
-  with_reduction_general ?stats ?cache ?trace ?deadline ctx
-    ~keep:(fun _ -> true)
-    ~confirm:true set
-
-let with_reduction_unchecked ?stats ?cache ?trace ?deadline ?reduced ctx set =
-  with_reduction_general ?stats ?cache ?trace ?deadline ?reduced ctx
-    ~keep:(fun _ -> true)
-    ~confirm:false set
-
-let with_reduction_filtered ?stats ?cache ?trace ?deadline ctx ~keep set =
-  with_reduction_general ?stats ?cache ?trace ?deadline ctx ~keep ~confirm:true
-    set
-
-let with_reduction_filtered_unchecked ?stats ?cache ?trace ?deadline ctx ~keep
-    set =
-  with_reduction_general ?stats ?cache ?trace ?deadline ctx ~keep
-    ~confirm:false set

@@ -18,13 +18,16 @@
     Computation strategies, all returning the same set:
     - {!naive}: iterate [G ← G ⋈ F] with a fixed-point check after every
       round (§3.1.1);
+    - {!semi_naive}: join only each round's discoveries with F;
     - {!with_reduction}: fast-forward k−1 = |⊖(F)|−1 unchecked rounds
-      (§3.1.2), then verify convergence — sound for every input;
-    - {!with_reduction_unchecked}: the paper's exact Theorem 1 recipe,
-      exactly k−1 rounds and no check — use only on single-node seeds;
-    - {!naive_filtered} / {!with_reduction_filtered}: the same, pruning
-      with an anti-monotonic predicate after every join (Theorem 3
-      push-down inside the fixed point).
+      (§3.1.2), then verify convergence — sound for every input; with
+      [~checked:false] it is the paper's exact Theorem 1 recipe, exactly
+      k−1 rounds and no check, for single-node seeds only.
+
+    Each takes an optional anti-monotonic [keep]: the seed is [filter
+    keep F] and every join result failing [keep] is discarded as it is
+    produced (Theorem 3 push-down inside the fixed point), so that
+    [σ_keep F⁺] is what comes out.
 
     Every strategy accepts an optional [?deadline] ({!Deadline.t},
     default {!Deadline.none}): checked at the top of every round and
@@ -36,9 +39,11 @@ val naive :
   ?cache:Join_cache.t ->
   ?trace:Xfrag_obs.Trace.t ->
   ?deadline:Deadline.t ->
+  ?keep:(Fragment.t -> bool) ->
   Context.t ->
   Frag_set.t ->
   Frag_set.t
+(** Traced as [fixed-point], or [fixed-point:pruned] with [keep]. *)
 
 val semi_naive :
   ?stats:Op_stats.t ->
@@ -55,34 +60,28 @@ val semi_naive :
     the seed, instead of the whole accumulated set.  Correct because
     join results involving two old fragments were already produced in an
     earlier round.  Performs strictly fewer joins than {!naive} after the
-    first round; answers are identical (property-tested).  [keep] prunes
-    anti-monotonically as in {!naive_filtered}. *)
+    first round; answers are identical (property-tested). *)
 
 val with_reduction :
   ?stats:Op_stats.t ->
   ?cache:Join_cache.t ->
   ?trace:Xfrag_obs.Trace.t ->
   ?deadline:Deadline.t ->
-  Context.t ->
-  Frag_set.t ->
-  Frag_set.t
-
-val with_reduction_unchecked :
-  ?stats:Op_stats.t ->
-  ?cache:Join_cache.t ->
-  ?trace:Xfrag_obs.Trace.t ->
-  ?deadline:Deadline.t ->
+  ?keep:(Fragment.t -> bool) ->
   ?reduced:Frag_set.t ->
+  ?checked:bool ->
   Context.t ->
   Frag_set.t ->
   Frag_set.t
-(** Theorem 1 verbatim: exactly |⊖(F)|−1 pairwise-join rounds, no
-    convergence check.  Correct when every member of the input is a
-    single-node fragment (the paper's use case); may under-compute on
-    general inputs — see the erratum above.  [reduced], when given, must
-    be ⊖ of the input computed against the same context — it skips the
-    internal reduce so a caller that already reduced the seed (e.g. the
-    Auto-strategy probe in {!Eval}) does not pay for it twice. *)
+(** |⊖(σ_keep F)|−1 rounds, then (unless [~checked:false]) rounds until
+    nothing changes.  Unchecked, it is correct when every member of the
+    input is a single-node fragment and [keep] is anti-monotonic (σ_keep
+    of the answer is then reached within that round count — see the
+    induction in DESIGN.md); on general inputs it may under-compute —
+    see the erratum above.  [reduced], when given, must be ⊖ of the
+    seed computed against the same context; it skips the internal
+    reduce, so a caller that already reduced the seed (the Auto probe in
+    {!Optimizer}) does not pay for it twice. *)
 
 val iterate :
   ?stats:Op_stats.t ->
@@ -96,43 +95,3 @@ val iterate :
 (** [iterate ctx n f] is ⋈ₙ(F): the pairwise self-join applied to [n]
     copies of [F] (so [iterate ctx 1 f = f]).
     @raise Invalid_argument if [n < 1]. *)
-
-val naive_filtered :
-  ?stats:Op_stats.t ->
-  ?cache:Join_cache.t ->
-  ?trace:Xfrag_obs.Trace.t ->
-  ?deadline:Deadline.t ->
-  Context.t ->
-  keep:(Fragment.t -> bool) ->
-  Frag_set.t ->
-  Frag_set.t
-(** Fixed point of the [keep]-pruned join sequence, starting from
-    [filter keep F].  Sound for anti-monotonic [keep] in the sense that
-    [σ_keep F⁺ = σ_keep (naive_filtered ~keep F)]. *)
-
-val with_reduction_filtered :
-  ?stats:Op_stats.t ->
-  ?cache:Join_cache.t ->
-  ?trace:Xfrag_obs.Trace.t ->
-  ?deadline:Deadline.t ->
-  Context.t ->
-  keep:(Fragment.t -> bool) ->
-  Frag_set.t ->
-  Frag_set.t
-(** Like {!naive_filtered} but fast-forwarded through |⊖|−1 rounds of the
-    pruned seed set before the convergence check. *)
-
-val with_reduction_filtered_unchecked :
-  ?stats:Op_stats.t ->
-  ?cache:Join_cache.t ->
-  ?trace:Xfrag_obs.Trace.t ->
-  ?deadline:Deadline.t ->
-  Context.t ->
-  keep:(Fragment.t -> bool) ->
-  Frag_set.t ->
-  Frag_set.t
-(** Theorem 1 + Theorem 3 combined with no convergence check: exactly
-    |⊖(σ_keep F)|−1 pruned rounds.  Correct when the input is a set of
-    single-node fragments and [keep] is anti-monotonic (σ_keep of the
-    answer is then reached within that round count — see the induction
-    in DESIGN.md). *)

@@ -1,101 +1,147 @@
+module Trace = Xfrag_obs.Trace
+
+type rounds = Until_stable | Theorem1 | Delta
+
 type t =
   | Scan_keyword of string
   | Select of Filter.t * t
-  | Pair_join of t * t
-  | Pair_join_filtered of Filter.t * t * t
-  | Power_join of t * t
-  | Fixed_point of t
-  | Fixed_point_reduced of t
-  | Fixed_point_filtered of Filter.t * t
+  | Join of { prune : Filter.t; left : t; right : t }
+  | Power_join of t list
+  | Fixed_point of { prune : Filter.t; rounds : rounds; seed : t }
+  | Strict_leaf of t
 
 let initial (q : Query.t) =
-  match List.map (fun k -> Scan_keyword k) q.keywords with
+  match q.keywords with
   | [] -> invalid_arg "Plan.initial: query has no keywords"
-  | scan :: rest -> Select (q.filter, List.fold_left (fun acc s -> Power_join (acc, s)) scan rest)
+  | ks -> Select (q.filter, Power_join (List.map (fun k -> Scan_keyword k) ks))
 
-let rec eval ?stats ?trace ctx = function
-  | Scan_keyword k -> Selection.keyword ?trace ctx k
-  | Select (p, x) -> Selection.select ?stats ?trace ctx p (eval ?stats ?trace ctx x)
-  | Pair_join (a, b) ->
-      Join.pairwise ?stats ?trace ctx (eval ?stats ?trace ctx a) (eval ?stats ?trace ctx b)
-  | Pair_join_filtered (p, a, b) ->
-      Join.pairwise_filtered ?stats ?trace ctx
-        ~keep:(Filter.evaluate ctx p)
-        (eval ?stats ?trace ctx a) (eval ?stats ?trace ctx b)
-  | Power_join (a, b) ->
-      Powerset.via_fixed_points ?stats ?trace ctx (eval ?stats ?trace ctx a)
-        (eval ?stats ?trace ctx b)
-  | Fixed_point x -> Fixed_point.naive ?stats ?trace ctx (eval ?stats ?trace ctx x)
-  | Fixed_point_reduced x ->
-      Fixed_point.with_reduction ?stats ?trace ctx (eval ?stats ?trace ctx x)
-  | Fixed_point_filtered (p, x) ->
-      Fixed_point.naive_filtered ?stats ?trace ctx
-        ~keep:(Filter.evaluate ctx p)
-        (eval ?stats ?trace ctx x)
+let inputs = function
+  | Scan_keyword _ -> []
+  | Select (_, x) | Fixed_point { seed = x; _ } | Strict_leaf x -> [ x ]
+  | Join { left; right; _ } -> [ left; right ]
+  | Power_join xs -> xs
 
-let rec equal a b =
-  match (a, b) with
-  | Scan_keyword k, Scan_keyword k' -> String.equal k k'
-  | Select (p, x), Select (p', x') -> p = p' && equal x x'
-  | Pair_join (x, y), Pair_join (x', y') -> equal x x' && equal y y'
-  | Pair_join_filtered (p, x, y), Pair_join_filtered (p', x', y') ->
-      p = p' && equal x x' && equal y y'
-  | Power_join (x, y), Power_join (x', y') -> equal x x' && equal y y'
-  | Fixed_point x, Fixed_point x' -> equal x x'
-  | Fixed_point_reduced x, Fixed_point_reduced x' -> equal x x'
-  | Fixed_point_filtered (p, x), Fixed_point_filtered (p', x') -> p = p' && equal x x'
-  | ( ( Scan_keyword _ | Select _ | Pair_join _ | Pair_join_filtered _ | Power_join _
-      | Fixed_point _ | Fixed_point_reduced _ | Fixed_point_filtered _ ),
-      _ ) ->
-      false
+let map_inputs f = function
+  | Scan_keyword _ as p -> p
+  | Select (p, x) -> Select (p, f x)
+  | Join j -> Join { j with left = f j.left; right = f j.right }
+  | Power_join xs -> Power_join (List.map f xs)
+  | Fixed_point fp -> Fixed_point { fp with seed = f fp.seed }
+  | Strict_leaf x -> Strict_leaf (f x)
 
-let rec operator_count = function
-  | Scan_keyword _ -> 1
-  | Select (_, x) | Fixed_point x | Fixed_point_reduced x | Fixed_point_filtered (_, x) ->
-      1 + operator_count x
-  | Pair_join (a, b) | Power_join (a, b) -> 1 + operator_count a + operator_count b
-  | Pair_join_filtered (_, a, b) -> 1 + operator_count a + operator_count b
+let rec keywords = function
+  | Scan_keyword k -> [ k ]
+  | p -> List.concat_map keywords (inputs p)
+
+let strict_leaf (ctx : Context.t) keywords answers =
+  Frag_set.filter
+    (fun f ->
+      let leaves = Fragment.leaves ctx f in
+      List.for_all
+        (fun k ->
+          List.exists
+            (fun n -> Xfrag_doctree.Inverted_index.node_contains ctx.index n k)
+            leaves)
+        keywords)
+    answers
+
+let run ?stats ?cache ?(trace = Trace.disabled) ?(deadline = Deadline.none)
+    ?(scans = []) ?(reduced = []) ?(observe = fun _ _ apply -> apply ()) ctx
+    plan =
+  let apply plan inputs =
+    match (plan, inputs) with
+    | Scan_keyword k, _ -> (
+        match List.assoc_opt k scans with
+        | Some set -> set
+        | None -> Selection.keyword ~trace ctx k)
+    | Select (p, _), [ set ] -> Selection.select ?stats ~trace ctx p set
+    | Join { prune; _ }, [ a; b ] ->
+        Join.pairwise_filtered ?stats ?cache ~trace ~deadline ctx
+          ~keep:(Filter.evaluate ctx prune) a b
+    | Power_join _, sets ->
+        Powerset.many_literal ?stats ?cache ~trace ~deadline ctx sets
+    | Fixed_point { prune; rounds; seed }, [ set ] -> (
+        let keep =
+          if prune = Filter.True then None else Some (Filter.evaluate ctx prune)
+        in
+        match (rounds, seed) with
+        | Until_stable, _ ->
+            Fixed_point.naive ?stats ?cache ~trace ~deadline ?keep ctx set
+        | Delta, _ ->
+            Fixed_point.semi_naive ?stats ?cache ~trace ~deadline ?keep ctx set
+        | Theorem1, Scan_keyword k ->
+            (* Keyword scans are single-node fragments, where Theorem 1's
+               round count needs no convergence check. *)
+            let reduced =
+              if prune = Filter.True then List.assoc_opt k reduced else None
+            in
+            Fixed_point.with_reduction ?stats ?cache ~trace ~deadline ?keep
+              ?reduced ~checked:false ctx set
+        | Theorem1, _ ->
+            Fixed_point.with_reduction ?stats ?cache ~trace ~deadline ?keep ctx
+              set)
+    | Strict_leaf x, [ set ] ->
+        Deadline.check deadline;
+        Trace.with_span trace "strict-leaf" (fun () ->
+            strict_leaf ctx (keywords x) set)
+    | (Select _ | Join _ | Fixed_point _ | Strict_leaf _), _ ->
+        invalid_arg "Plan.run: operator applied to the wrong number of inputs"
+  in
+  let rec go plan =
+    let args = List.map go (inputs plan) in
+    observe plan args (fun () -> apply plan args)
+  in
+  go plan
+
+let rec operator_count p =
+  List.fold_left (fun n x -> n + operator_count x) 1 (inputs p)
+
+let filter_str p = Format.asprintf "%a" Filter.pp p
+
+let prune_suffix p =
+  if p = Filter.True then "" else Printf.sprintf " [prune %s]" (filter_str p)
+
+let label = function
+  | Scan_keyword k -> "scan " ^ k
+  | Select (p, _) -> "\xCF\x83 " ^ filter_str p
+  | Join { prune; _ } -> "\xE2\x8B\x88" ^ prune_suffix prune
+  | Power_join _ -> "\xE2\x8B\x88*"
+  | Fixed_point { prune; rounds; _ } ->
+      "fixed-point"
+      ^ (match rounds with
+        | Until_stable -> ""
+        | Theorem1 -> " [rounds=|\xE2\x8A\x96|]"
+        | Delta -> " [delta]")
+      ^ prune_suffix prune
+  | Strict_leaf _ -> "strict-leaf"
 
 let rec pp ppf = function
   | Scan_keyword k -> Format.fprintf ppf "F(%s)" k
   | Select (p, x) -> Format.fprintf ppf "\xCF\x83_{%a}(%a)" Filter.pp p pp x
-  | Pair_join (a, b) -> Format.fprintf ppf "(%a \xE2\x8B\x88 %a)" pp a pp b
-  | Pair_join_filtered (p, a, b) ->
-      Format.fprintf ppf "(%a \xE2\x8B\x88[%a] %a)" pp a Filter.pp p pp b
-  | Power_join (a, b) -> Format.fprintf ppf "(%a \xE2\x8B\x88* %a)" pp a pp b
-  | Fixed_point x -> Format.fprintf ppf "%a\xE2\x81\xBA" pp x
-  | Fixed_point_reduced x -> Format.fprintf ppf "%a\xE2\x81\xBA\xCA\xB3" pp x
-  | Fixed_point_filtered (p, x) -> Format.fprintf ppf "%a\xE2\x81\xBA[%a]" pp x Filter.pp p
+  | Join { prune; left; right } ->
+      Format.fprintf ppf "(%a \xE2\x8B\x88%s %a)" pp left
+        (if prune = Filter.True then "" else "[" ^ filter_str prune ^ "]")
+        pp right
+  | Power_join [ x ] -> Format.fprintf ppf "\xE2\x8B\x88*(%a)" pp x
+  | Power_join xs ->
+      Format.fprintf ppf "(%a)"
+        (Format.pp_print_list
+           ~pp_sep:(fun ppf () -> Format.fprintf ppf " \xE2\x8B\x88* ")
+           pp)
+        xs
+  | Fixed_point { prune; rounds; seed } ->
+      Format.fprintf ppf "%a\xE2\x81\xBA%s%s" pp seed
+        (match rounds with
+        | Until_stable -> ""
+        | Theorem1 -> "\xCA\xB3"
+        | Delta -> "\xE1\xB5\x9F")
+        (if prune = Filter.True then "" else "[" ^ filter_str prune ^ "]")
+  | Strict_leaf x -> Format.fprintf ppf "strict-leaf(%a)" pp x
 
 let pp_tree ppf plan =
   let rec go indent node =
-    let pad = String.make indent ' ' in
-    match node with
-    | Scan_keyword k -> Format.fprintf ppf "%sscan keyword=%s@," pad k
-    | Select (p, x) ->
-        Format.fprintf ppf "%s\xCF\x83 %a@," pad Filter.pp p;
-        go (indent + 2) x
-    | Pair_join (a, b) ->
-        Format.fprintf ppf "%s\xE2\x8B\x88@," pad;
-        go (indent + 2) a;
-        go (indent + 2) b
-    | Pair_join_filtered (p, a, b) ->
-        Format.fprintf ppf "%s\xE2\x8B\x88 [prune %a]@," pad Filter.pp p;
-        go (indent + 2) a;
-        go (indent + 2) b
-    | Power_join (a, b) ->
-        Format.fprintf ppf "%s\xE2\x8B\x88*@," pad;
-        go (indent + 2) a;
-        go (indent + 2) b
-    | Fixed_point x ->
-        Format.fprintf ppf "%sfixed-point@," pad;
-        go (indent + 2) x
-    | Fixed_point_reduced x ->
-        Format.fprintf ppf "%sfixed-point [rounds = |\xE2\x8A\x96|]@," pad;
-        go (indent + 2) x
-    | Fixed_point_filtered (p, x) ->
-        Format.fprintf ppf "%sfixed-point [prune %a]@," pad Filter.pp p;
-        go (indent + 2) x
+    Format.fprintf ppf "%s%s@," (String.make indent ' ') (label node);
+    List.iter (go (indent + 2)) (inputs node)
   in
   Format.fprintf ppf "@[<v>";
   go 0 plan;

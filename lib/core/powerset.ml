@@ -60,14 +60,6 @@ let literal ?stats ?cache ?(trace = Trace.disabled)
   done;
   Frag_set.Builder.freeze out
 
-let via_fixed_points ?stats ?cache ?trace ?deadline
-    ?(fixed_point =
-      fun ?stats ?trace ctx set -> Fixed_point.naive ?stats ?trace ctx set) ctx
-    s1 s2 =
-  Join.pairwise ?stats ?cache ?trace ?deadline ctx
-    (fixed_point ?stats ?trace ctx s1)
-    (fixed_point ?stats ?trace ctx s2)
-
 let many_literal ?stats ?cache ?(trace = Trace.disabled)
     ?(deadline = Deadline.none) ?(max_set_size = 14) ctx sets =
   traced trace "powerset-literal" @@ fun () ->
@@ -109,19 +101,3 @@ let many_literal ?stats ?cache ?(trace = Trace.disabled)
         ignore (Frag_set.Builder.add acc (Option.get j1.(m)))
       done;
       List.fold_left join_one (Frag_set.Builder.freeze acc) rest
-
-let many_via_fixed_points ?stats ?cache ?trace ?deadline
-    ?(fixed_point =
-      fun ?stats ?trace ctx set -> Fixed_point.naive ?stats ?trace ctx set) ctx
-    sets =
-  match sets with
-  | [] -> invalid_arg "Powerset.many_via_fixed_points: no operands"
-  | first :: rest ->
-      let fps =
-        fixed_point ?stats ?trace ctx first
-        :: List.map (fixed_point ?stats ?trace ctx) rest
-      in
-      (match fps with
-      | [] -> assert false
-      | fp :: fps ->
-          List.fold_left (Join.pairwise ?stats ?cache ?trace ?deadline ctx) fp fps)

@@ -4,14 +4,13 @@
 
     {!literal} enumerates subsets exactly as the definition reads —
     exponential, usable only on small inputs, and kept as the oracle the
-    optimized paths are tested against.  {!via_fixed_points} is
-    Theorem 2: F1 ⋈* F2 = F1⁺ ⋈ F2⁺.
+    optimized paths are tested against.  Theorem 2's
+    F1 ⋈* F2 = F1⁺ ⋈ F2⁺ is a plan rewrite ({!Rewrite.power_to_fixpoint}).
 
     All operations accept [?deadline] ({!Deadline.t}): the exponential
     enumeration checks it between every two subset joins, so even a
     worst-case ⋈* aborts with {!Deadline.Expired} within microseconds of
-    the instant passing.  [fixed_point] callbacks are expected to close
-    over the same deadline (see {!Eval}). *)
+    the instant passing. *)
 
 val literal :
   ?stats:Op_stats.t ->
@@ -27,24 +26,6 @@ val literal :
     larger than [max_set_size] (default 14) per operand.
     @raise Invalid_argument when an operand is too large. *)
 
-val via_fixed_points :
-  ?stats:Op_stats.t ->
-  ?cache:Join_cache.t ->
-  ?trace:Xfrag_obs.Trace.t ->
-  ?deadline:Deadline.t ->
-  ?fixed_point:
-    (?stats:Op_stats.t ->
-    ?trace:Xfrag_obs.Trace.t ->
-    Context.t ->
-    Frag_set.t ->
-    Frag_set.t) ->
-  Context.t ->
-  Frag_set.t ->
-  Frag_set.t ->
-  Frag_set.t
-(** Theorem 2 evaluation.  [fixed_point] selects the fixed-point
-    algorithm (default {!Fixed_point.naive}). *)
-
 val many_literal :
   ?stats:Op_stats.t ->
   ?cache:Join_cache.t ->
@@ -57,20 +38,3 @@ val many_literal :
 (** m-ary extension: \{ ⋈(∪ᵢ Fi') | Fi' ⊆ Fi non-empty \} — the paper's
     query formula for m keywords.
     @raise Invalid_argument on the empty list or oversized operands. *)
-
-val many_via_fixed_points :
-  ?stats:Op_stats.t ->
-  ?cache:Join_cache.t ->
-  ?trace:Xfrag_obs.Trace.t ->
-  ?deadline:Deadline.t ->
-  ?fixed_point:
-    (?stats:Op_stats.t ->
-    ?trace:Xfrag_obs.Trace.t ->
-    Context.t ->
-    Frag_set.t ->
-    Frag_set.t) ->
-  Context.t ->
-  Frag_set.t list ->
-  Frag_set.t
-(** m-ary Theorem 2: F1⁺ ⋈ F2⁺ ⋈ … ⋈ Fm⁺.
-    @raise Invalid_argument on the empty list. *)

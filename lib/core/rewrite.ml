@@ -1,61 +1,40 @@
 open Plan
 
-let rec power_to_fixpoint = function
-  | Scan_keyword _ as p -> p
-  | Select (f, x) -> Select (f, power_to_fixpoint x)
-  | Pair_join (a, b) -> Pair_join (power_to_fixpoint a, power_to_fixpoint b)
-  | Pair_join_filtered (f, a, b) ->
-      Pair_join_filtered (f, power_to_fixpoint a, power_to_fixpoint b)
-  | Power_join (a, b) ->
-      Pair_join (Fixed_point (power_to_fixpoint a), Fixed_point (power_to_fixpoint b))
-  | Fixed_point x -> Fixed_point (power_to_fixpoint x)
-  | Fixed_point_reduced x -> Fixed_point_reduced (power_to_fixpoint x)
-  | Fixed_point_filtered (f, x) -> Fixed_point_filtered (f, power_to_fixpoint x)
+let rec power_to_fixpoint p =
+  match map_inputs power_to_fixpoint p with
+  | Power_join (x :: xs) ->
+      let fp seed = Fixed_point { prune = Filter.True; rounds = Until_stable; seed } in
+      List.fold_left
+        (fun left x -> Join { prune = Filter.True; left; right = fp x })
+        (fp x) xs
+  | p -> p
 
-let rec use_reduction = function
-  | Scan_keyword _ as p -> p
-  | Select (f, x) -> Select (f, use_reduction x)
-  | Pair_join (a, b) -> Pair_join (use_reduction a, use_reduction b)
-  | Pair_join_filtered (f, a, b) -> Pair_join_filtered (f, use_reduction a, use_reduction b)
-  | Power_join (a, b) -> Power_join (use_reduction a, use_reduction b)
-  | Fixed_point x | Fixed_point_reduced x -> Fixed_point_reduced (use_reduction x)
-  | Fixed_point_filtered (f, x) -> Fixed_point_filtered (f, use_reduction x)
+let rec with_rounds rounds p =
+  match map_inputs (with_rounds rounds) p with
+  | Fixed_point fp -> Fixed_point { fp with rounds }
+  | p -> p
 
-(* Push an anti-monotonic filter [am] into a subplan: prune at every
-   join, inside fixed-point rounds, and at the scans. *)
+let use_reduction = with_rounds Theorem1
+
+let use_delta = with_rounds Delta
+
+let conjoin a b = Filter.conjoin (Filter.conjuncts a @ Filter.conjuncts b)
+
+(* Make every result of [plan] satisfy the anti-monotonic [am]: prune at
+   every join and inside every fixed point (which also filters its
+   seed); only a bare scan or strict-leaf filter needs a selection. *)
 let rec push am plan =
   match plan with
-  | Scan_keyword _ -> Select (am, plan)
+  | Join j ->
+      Join { prune = conjoin j.prune am; left = push am j.left; right = push am j.right }
+  | Fixed_point fp -> Fixed_point { fp with prune = conjoin fp.prune am }
+  | Power_join (_ :: _) -> push am (power_to_fixpoint plan)
   | Select (f, x) -> Select (f, push am x)
-  | Pair_join (a, b) | Pair_join_filtered (_, a, b) ->
-      (* An existing pruning filter on the join is subsumed only if it is
-         implied by [am]; be conservative and conjoin. *)
-      let f' =
-        match plan with
-        | Pair_join_filtered (f, _, _) -> Filter.And (f, am)
-        | _ -> am
-      in
-      Pair_join_filtered (f', push am a, push am b)
-  | Power_join (a, b) ->
-      (* Power joins must become fixed points before pruning can reach
-         inside; convert on the fly. *)
-      push am (Pair_join (Fixed_point a, Fixed_point b))
-  | Fixed_point x | Fixed_point_reduced x -> Fixed_point_filtered (am, push am x)
-  | Fixed_point_filtered (f, x) -> Fixed_point_filtered (Filter.And (f, am), push am x)
+  | Scan_keyword _ | Strict_leaf _ | Power_join [] -> Select (am, plan)
 
-let rec push_selection = function
-  | Scan_keyword _ as p -> p
+let rec push_selection p =
+  match map_inputs push_selection p with
   | Select (f, x) ->
       let am, residual = Filter.decompose f in
-      let x = push_selection x in
-      if am = Filter.True then Select (f, x)
-      else if residual = Filter.True then Select (am, push am x)
-      else Select (residual, Select (am, push am x))
-  | Pair_join (a, b) -> Pair_join (push_selection a, push_selection b)
-  | Pair_join_filtered (f, a, b) -> Pair_join_filtered (f, push_selection a, push_selection b)
-  | Power_join (a, b) -> Power_join (push_selection a, push_selection b)
-  | Fixed_point x -> Fixed_point (push_selection x)
-  | Fixed_point_reduced x -> Fixed_point_reduced (push_selection x)
-  | Fixed_point_filtered (f, x) -> Fixed_point_filtered (f, push_selection x)
-
-let optimize_fully plan = push_selection (use_reduction (power_to_fixpoint plan))
+      if am = Filter.True then Select (f, x) else Select (residual, push am x)
+  | p -> p

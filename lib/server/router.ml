@@ -258,12 +258,7 @@ let json_response ?(headers = []) ~status j =
    stable machine-readable discriminator, [message] the human-oriented
    text, and [request_id] (stamped at [handle]'s single exit) joins the
    failure to its wide event.  Fault-injected 500s add ["site"]; 405s
-   add ["allow"].
-
-   Deprecated aliases (one release, see README): [kind] / [site] /
-   [request_id] are mirrored at the top level, where pre-envelope 500s
-   carried them.  The old top-level ["error": "<string>"] message became
-   the envelope itself — that is the one breaking change. *)
+   add ["allow"]. *)
 let kind_of_status = function
   | 400 -> "bad_request"
   | 404 -> "not_found"
@@ -280,13 +275,12 @@ let error_json ~kind ?site ?(extra = []) msg =
     match site with None -> [] | Some s -> [ ("site", Json.String s) ]
   in
   Json.Obj
-    (( "error",
-       Json.Obj
-         ([ ("kind", Json.String kind); ("message", Json.String msg) ]
-         @ site_fields @ extra) )
-    :: ("kind", Json.String kind)
-    :: site_fields
-    @ extra)
+    [
+      ( "error",
+        Json.Obj
+          ([ ("kind", Json.String kind); ("message", Json.String msg) ]
+          @ site_fields @ extra) );
+    ]
 
 let error_response ?kind ?site ?extra ?headers ~status msg =
   let kind = match kind with Some k -> k | None -> kind_of_status status in
@@ -296,19 +290,8 @@ let error_response ?kind ?site ?extra ?headers ~status msg =
    before any request reaches the router (shed 503s, unparsable 400s,
    read-timeout 408s): same shape, request id already known. *)
 let error_body ~kind ~id msg =
-  match error_json ~kind msg with
-  | Json.Obj fields ->
-      let fields =
-        List.map
-          (function
-            | "error", Json.Obj env ->
-                ("error", Json.Obj (env @ [ ("request_id", Json.String id) ]))
-            | f -> f)
-          fields
-      in
-      Json.to_string (Json.Obj (fields @ [ ("request_id", Json.String id) ]))
-      ^ "\n"
-  | j -> Json.to_string j ^ "\n"
+  Json.to_string (error_json ~kind ~extra:[ ("request_id", Json.String id) ] msg)
+  ^ "\n"
 
 exception Reject of Http.response
 
@@ -417,6 +400,8 @@ let handle_explain t p ~id req =
     with Invalid_argument msg -> reject ~status:400 msg
   in
   charge_cache p t.cache snap;
+  let strategy = Exec.strategy_name report.Explain.strategy in
+  p.p_strategy <- strategy;
   p.p_eval_ns <- report.Explain.total_ns;
   p.p_hits <- Frag_set.cardinal report.Explain.answers;
   let plan_str = Format.asprintf "%a" Xfrag_core.Plan.pp report.Explain.plan in
@@ -424,10 +409,14 @@ let handle_explain t p ~id req =
     (Json.Obj
        [
          ("request_id", Json.String id);
+         ("strategy", Json.String strategy);
          ("plan", Json.String plan_str);
          ("estimated_cost", Json.Float report.Explain.estimated_cost);
          ("total_ns", Json.Int report.Explain.total_ns);
          ("count", Json.Int (Frag_set.cardinal report.Explain.answers));
+         ( "probe",
+           Option.fold ~none:Json.Null ~some:explain_node_json
+             report.Explain.probe );
          ("root", explain_node_json report.Explain.root);
        ])
 
@@ -883,11 +872,10 @@ let with_request_id id resp =
   }
 
 (* Error bodies are built by [reject] deep inside decoding helpers,
-   before the request id is in scope; stamp it in at the single exit
-   point instead so every JSON error (400/404/405/408/500) can be
-   joined back to its wide event, like the 200s already can.  The id
-   lands both inside the ["error"] envelope (the documented home) and
-   at the top level (deprecated alias, one release). *)
+   before the request id is in scope; stamp it into the ["error"]
+   envelope at the single exit point instead so every JSON error
+   (400/404/405/408/500) can be joined back to its wide event, like the
+   200s already can. *)
 let ensure_body_request_id ~id resp =
   if resp.Http.status < 400 then resp
   else
@@ -901,10 +889,6 @@ let ensure_body_request_id ~id resp =
                   ("error", Json.Obj (env @ [ ("request_id", Json.String id) ]))
               | f -> f)
             fields
-        in
-        let fields =
-          if List.mem_assoc "request_id" fields then fields
-          else fields @ [ ("request_id", Json.String id) ]
         in
         { resp with Http.resp_body = Json.to_string (Json.Obj fields) ^ "\n" }
     | _ -> resp

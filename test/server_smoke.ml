@@ -125,27 +125,52 @@ let () =
 
   (* A real query, carrying a client request id that must be echoed. *)
   let body = {|{"keywords":["term0000"],"filters":{"max_size":3},"limit":5}|} in
+  let count_and_strategy reply =
+    match Json.of_string reply with
+    | Ok j -> (int_member "count" j, string_member "strategy" j)
+    | Error _ -> (None, None)
+  in
+  let queried =
+    match
+      Client.once ~host:"127.0.0.1" ~port ~meth:"POST" ~path:"/query"
+        ~headers:[ ("X-Request-Id", "smoketest-123") ]
+        ~body ()
+    with
+    | Ok (200, headers, reply) -> (
+        (match resp_header "x-request-id" headers with
+        | Some "smoketest-123" -> step "X-Request-Id echoed"
+        | other ->
+            (cleanup ();
+             die "X-Request-Id not echoed (got %s)"
+               (Option.value ~default:"<none>" other)));
+        match Json.of_string reply with
+        | Ok j when int_member "count" j <> None ->
+            if string_member "request_id" j <> Some "smoketest-123" then
+              (cleanup (); die "200 body lacks the request id: %s" reply);
+            step "query ok: %s" (String.sub reply 0 (min 60 (String.length reply)));
+            count_and_strategy reply
+        | Ok _ -> (cleanup (); die "query reply missing count: %s" reply)
+        | Error e -> (cleanup (); die "query reply not JSON: %s" e))
+    | Ok (s, _, reply) -> (cleanup (); die "query: %d %s" s reply)
+    | Error e -> (cleanup (); die "query: %s" e)
+  in
+
+  (* EXPLAIN profiles the plan /query ran, and a forced strategy. *)
+  let explain body =
+    match Client.once ~host:"127.0.0.1" ~port ~meth:"POST" ~path:"/explain" ~body () with
+    | Ok (200, _, reply) -> count_and_strategy reply
+    | Ok (s, _, reply) -> (cleanup (); die "explain: %d %s" s reply)
+    | Error e -> (cleanup (); die "explain: %s" e)
+  in
+  if explain body <> queried then
+    (cleanup (); die "explain count/strategy differ from /query's");
+  step "explain matches /query (%s)" (Option.value ~default:"?" (snd queried));
   (match
-     Client.once ~host:"127.0.0.1" ~port ~meth:"POST" ~path:"/query"
-       ~headers:[ ("X-Request-Id", "smoketest-123") ]
-       ~body ()
+     explain
+       {|{"keywords":["term0000"],"filters":{"max_size":3},"strategy":"pushdown"}|}
    with
-  | Ok (200, headers, reply) -> (
-      (match resp_header "x-request-id" headers with
-      | Some "smoketest-123" -> step "X-Request-Id echoed"
-      | other ->
-          (cleanup ();
-           die "X-Request-Id not echoed (got %s)"
-             (Option.value ~default:"<none>" other)));
-      match Json.of_string reply with
-      | Ok j when int_member "count" j <> None ->
-          if string_member "request_id" j <> Some "smoketest-123" then
-            (cleanup (); die "200 body lacks the request id: %s" reply);
-          step "query ok: %s" (String.sub reply 0 (min 60 (String.length reply)))
-      | Ok _ -> (cleanup (); die "query reply missing count: %s" reply)
-      | Error e -> (cleanup (); die "query reply not JSON: %s" e))
-  | Ok (s, _, reply) -> (cleanup (); die "query: %d %s" s reply)
-  | Error e -> (cleanup (); die "query: %s" e));
+  | _, Some "pushdown" -> step "explain honors a forced strategy"
+  | _ -> (cleanup (); die "explain ignored strategy pushdown"));
 
   (* Deadline enforcement through the HTTP surface. *)
   (match
@@ -307,7 +332,7 @@ let () =
   if corpus_count () <> 0 then
     (cleanup (); die "deleted document still answers queries");
   step "DELETE document gone from the next query";
-  (* The uniform error envelope on a 404, with its deprecated aliases. *)
+  (* The uniform error envelope on a 404, and nothing beside it. *)
   (match
      Client.once ~host:"127.0.0.1" ~port ~meth:"DELETE"
        ~path:"/corpus/docs/live.xml" ()
@@ -320,8 +345,9 @@ let () =
                  List.assoc_opt "kind" env = Some (Json.String "not_found")
                  && List.mem_assoc "request_id" env
              | _ -> false)
-             && string_member "kind" j = Some "not_found" ->
-          step "404 envelope ok (kind + aliases)"
+             && Json.member "kind" j = None
+             && Json.member "request_id" j = None ->
+          step "404 envelope ok (no top-level copies)"
       | Ok _ -> (cleanup (); die "404 envelope wrong: %s" reply)
       | Error e -> (cleanup (); die "404 body not JSON: %s" e))
   | Ok (s, _, reply) -> (cleanup (); die "re-DELETE: %d %s" s reply)
@@ -379,17 +405,16 @@ let () =
       Client.once ~host:"127.0.0.1" ~port ~meth:"POST" ~path:"/query" ~body ()
     with
     | Ok (500, _, reply) -> (
-        match Json.of_string reply with
-        | Ok j
-          when Json.member "kind" j = Some (Json.String "fault_injected")
-               && Json.member "site" j = Some (Json.String "eval.request") -> (
-            match string_member "request_id" j with
+        match Option.bind (Result.to_option (Json.of_string reply)) (Json.member "error") with
+        | Some env
+          when Json.member "kind" env = Some (Json.String "fault_injected")
+               && Json.member "site" env = Some (Json.String "eval.request") -> (
+            match string_member "request_id" env with
             | Some id ->
                 step "injected fault -> structured 500 ok (id %s)" id;
                 id
             | None -> (cleanup (); die "500 body lacks request_id: %s" reply))
-        | Ok _ -> (cleanup (); die "500 body not structured: %s" reply)
-        | Error e -> (cleanup (); die "500 body not JSON (%s): %s" e reply))
+        | _ -> (cleanup (); die "500 body not structured: %s" reply))
     | Ok (s, _, reply) ->
         (cleanup (); die "chaos query: expected 500, got %d %s" s reply)
     | Error e -> (cleanup (); die "chaos query: %s" e)

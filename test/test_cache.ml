@@ -521,8 +521,11 @@ let test_auto_probe_charged_once () =
      exceed it (it was exactly double before the fix). *)
   let ctx = Paper.figure1_context () in
   let q = Query.make ~filter:Filter.True Paper.query_keywords in
-  let auto = Eval.run ~strategy:Eval.Auto ctx q in
-  let explicit = Eval.run ~strategy:Eval.Set_reduction ctx q in
+  let run strategy =
+    Eval.exec ctx Xfrag_core.Exec.Request.(of_query q |> with_strategy strategy)
+  in
+  let auto = run Eval.Auto in
+  let explicit = run Eval.Set_reduction in
   Alcotest.check set_testable "same answers" explicit.Eval.answers auto.Eval.answers;
   if auto.Eval.strategy_used = Eval.Set_reduction then
     Alcotest.(check int) "probe reduce reused, not repeated"

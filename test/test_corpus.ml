@@ -4,10 +4,6 @@
    the k-way merge must honor ties and limits, and a deadline expiring
    mid-run must yield a partial outcome, never an exception. *)
 
-[@@@alert "-deprecated"]
-(* The deprecated Corpus.search / Corpus.search_scored wrappers stay
-   covered until they are removed. *)
-
 module Context = Xfrag_core.Context
 module Fragment = Xfrag_core.Fragment
 module Frag_set = Xfrag_core.Frag_set
@@ -109,22 +105,23 @@ let test_duplicate_name_replaces () =
     (Context.size (Corpus.context c0 "a.xml") <> 82
     || Corpus.generation c0 "a.xml" = Some gen0)
 
-(* --- legacy wrappers (deprecated, still covered) --- *)
+(* --- search --- *)
+
+let search ?scorer c r = (Corpus.run ?scorer c r).Corpus.hits
 
 let test_search_only_matching_documents () =
   let c = make_corpus () in
-  let q = Query.make ~filter:(Filter.Size_at_most 5) [ "mangrove"; "estuary" ] in
-  let hits = Corpus.search c q in
+  let hits = search c (request ~filter:(Filter.Size_at_most 5) [ "mangrove"; "estuary" ]) in
   (* Only a.xml contains both keywords. *)
   Alcotest.(check bool) "hits exist" true (hits <> []);
   List.iter
-    (fun h -> Alcotest.(check string) "from a.xml" "a.xml" h.Corpus.doc)
+    (fun (h, _) -> Alcotest.(check string) "from a.xml" "a.xml" h.Corpus.doc)
     hits
 
 let test_search_matches_per_document_eval () =
   let c = make_corpus () in
   let q = Query.make ~filter:(Filter.Size_at_most 4) [ "mangrove" ] in
-  let hits = Corpus.search c q in
+  let hits = search c (Exec.Request.of_query q) in
   let expected =
     List.fold_left
       (fun acc name ->
@@ -136,7 +133,7 @@ let test_search_matches_per_document_eval () =
 
 let test_search_scored_ordering () =
   let c = make_corpus () in
-  let q = Query.make ~filter:(Filter.Size_at_most 4) [ "mangrove" ] in
+  let r ?limit () = request ~filter:(Filter.Size_at_most 4) ?limit [ "mangrove" ] in
   let scorer ctx f =
     (* Favour fragments with many keyword occurrences, penalize size. *)
     let hits =
@@ -149,13 +146,13 @@ let test_search_scored_ordering () =
     in
     float_of_int hits /. float_of_int (Fragment.size f)
   in
-  let scored = Corpus.search_scored ~scorer c q in
+  let scored = search ~scorer c (r ()) in
   let rec non_increasing = function
     | (_, s1) :: ((_, s2) :: _ as rest) -> s1 >= s2 && non_increasing rest
     | _ -> true
   in
   Alcotest.(check bool) "descending" true (non_increasing scored);
-  let limited = Corpus.search_scored ~scorer ~limit:3 c q in
+  let limited = search ~scorer c (r ~limit:3 ()) in
   Alcotest.(check int) "limit" 3 (List.length limited)
 
 let test_document_frequency () =
@@ -167,13 +164,12 @@ let test_document_frequency () =
 
 let test_fragments_never_span_documents () =
   let c = make_corpus () in
-  let q = Query.make [ "mangrove" ] in
   List.iter
-    (fun h ->
+    (fun (h, _) ->
       let ctx = Corpus.context c h.Corpus.doc in
       Alcotest.(check bool) "valid in own document" true
         (Fragment.is_connected ctx (Fragment.nodes h.Corpus.fragment)))
-    (Corpus.search c q)
+    (search c (request [ "mangrove" ]))
 
 (* --- sharded execution: bit-identical to sequential --- *)
 
@@ -280,16 +276,21 @@ let test_sharded_cache_serves_hits () =
 
 let test_sharded_identical_unlimited_constant_score () =
   (* With the constant scorer and no limit the merged order is document
-     name then fragment order — exactly the legacy Corpus.search
-     order — for every shard count. *)
+     name then fragment order — every document's own answers, in turn —
+     for every shard count. *)
   let c = make_wide_corpus () in
   let r = request ~filter:(Filter.Size_at_most 5) [ "mangrove" ] in
   let baseline = Corpus.run ~shards:1 c r in
-  let legacy =
-    List.map (fun h -> (h, 0.)) (Corpus.search c (Exec.Request.to_query r))
+  let per_document =
+    List.concat_map
+      (fun doc ->
+        List.map
+          (fun fragment -> ({ Corpus.doc; fragment }, 0.))
+          (Frag_set.elements (Eval.exec (Corpus.context c doc) r).Eval.answers))
+      (Corpus.names c)
   in
-  Alcotest.(check bool) "sequential run == legacy search" true
-    (hits_equal legacy baseline.Corpus.hits);
+  Alcotest.(check bool) "sequential run == per-document answers" true
+    (hits_equal per_document baseline.Corpus.hits);
   List.iter
     (fun shards ->
       let o = Corpus.run ~shards c r in

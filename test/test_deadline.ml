@@ -11,6 +11,7 @@ module Frag_set = Xfrag_core.Frag_set
 module Filter = Xfrag_core.Filter
 module Query = Xfrag_core.Query
 module Eval = Xfrag_core.Eval
+module Exec = Xfrag_core.Exec
 module Deadline = Xfrag_core.Deadline
 module Join_cache = Xfrag_core.Join_cache
 module Clock = Xfrag_obs.Clock
@@ -69,7 +70,11 @@ let test_worst_case_aborts_promptly () =
   let q = worst_case_query () in
   let t0 = Clock.monotonic () in
   (match
-     Eval.run ~strategy:Eval.Brute_force ~deadline:(Deadline.after ms) ctx q
+     Eval.exec ctx
+       Exec.Request.(
+         of_query q
+         |> with_strategy Eval.Brute_force
+         |> with_deadline (Deadline.after ms))
    with
   | _ -> Alcotest.fail "a 1ms deadline must abort the powerset enumeration"
   | exception Deadline.Expired -> ());
@@ -90,7 +95,10 @@ let test_all_strategies_abort () =
          strategy's loop structure is. *)
       let clock = Clock.counter ~start:0 ~step:1000 () in
       let deadline = Deadline.at ~clock 0 in
-      match Eval.run ~strategy ~deadline ctx q with
+      match
+        Eval.exec ctx
+          Exec.Request.(of_query q |> with_strategy strategy |> with_deadline deadline)
+      with
       | _ -> Alcotest.failf "%s: expected Deadline.Expired" name
       | exception Deadline.Expired -> ())
     Eval.all_strategies
@@ -100,8 +108,12 @@ let test_aborted_run_leaves_cache_consistent () =
   let cache = Join_cache.create ~synchronized:true () in
   (* Abort a brute-force run mid-enumeration with the shared cache... *)
   (match
-     Eval.run ~strategy:Eval.Brute_force ~deadline:(Deadline.after ms) ~cache
-       ctx (worst_case_query ())
+     Eval.exec ctx
+       Exec.Request.(
+         of_query (worst_case_query ())
+         |> with_strategy Eval.Brute_force
+         |> with_deadline (Deadline.after ms)
+         |> with_cache (Some cache))
    with
   | _ -> Alcotest.fail "expected abort"
   | exception Deadline.Expired -> ());

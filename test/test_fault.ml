@@ -423,9 +423,11 @@ let query_body =
            Json.List (List.map (fun k -> Json.String k) Paper.query_keywords) );
        ])
 
-let json_member key body =
+(* A field of the ["error"] envelope; the body carries nothing else. *)
+let error_member key body =
   match Json.of_string body with
-  | Ok j -> Json.member key j
+  | Ok (Json.Obj [ ("error", env) ]) -> Json.member key env
+  | Ok _ -> Alcotest.failf "error body is not just the envelope: %s" body
   | Error e -> Alcotest.failf "response is not JSON (%s): %s" e body
 
 let test_router_maps_injected_fault_to_structured_500 () =
@@ -435,10 +437,10 @@ let test_router_maps_injected_fault_to_structured_500 () =
       let resp = Router.handle router (make_request query_body) in
       Alcotest.(check int) "engine escape -> 500" 500 resp.Http.status;
       Alcotest.(check bool) "kind is fault_injected" true
-        (json_member "kind" resp.Http.resp_body
+        (error_member "kind" resp.Http.resp_body
         = Some (Json.String "fault_injected"));
       Alcotest.(check bool) "site named" true
-        (json_member "site" resp.Http.resp_body
+        (error_member "site" resp.Http.resp_body
         = Some (Json.String "eval.request")));
   (* Disarmed, the same request succeeds: the fault did not poison the
      router or its context. *)
@@ -462,7 +464,7 @@ let test_router_maps_generic_escape_to_internal_500 () =
           let resp = Router.handle router (make_request query_body) in
           Alcotest.(check int) "escape -> 500" 500 resp.Http.status;
           Alcotest.(check bool) "kind is internal" true
-            (json_member "kind" resp.Http.resp_body
+            (error_member "kind" resp.Http.resp_body
             = Some (Json.String "internal"))))
 
 let () =

@@ -80,7 +80,7 @@ let test_filtered_fixed_point_prunes () =
     Frag_set.of_list [ Fragment.singleton 16; Fragment.singleton 17; Fragment.singleton 81 ]
   in
   let keep f = Fragment.size f <= 3 in
-  let pruned = Fixed_point.naive_filtered ctx ~keep s in
+  let pruned = Fixed_point.naive ~keep ctx s in
   let full = Fixed_point.naive ctx s in
   (* Every kept fragment appears in the unfiltered fixed point and
      satisfies the predicate; every surviving fragment of the full fixed
@@ -97,7 +97,7 @@ let test_round_counting () =
   let stats_naive = Op_stats.create () in
   ignore (Fixed_point.naive ~stats:stats_naive ctx s);
   let stats_red = Op_stats.create () in
-  ignore (Fixed_point.with_reduction_unchecked ~stats:stats_red ctx s);
+  ignore (Fixed_point.with_reduction ~checked:false ~stats:stats_red ctx s);
   (* Theorem 1: exactly |⊖(F)| − 1 = 1 unchecked round; the naive
      variant needs an extra convergence-check round. *)
   let k = Frag_set.cardinal (Reduce.reduce ctx s) in
@@ -134,7 +134,7 @@ let test_theorem1_erratum () =
   let ctx = erratum_ctx () in
   let s = erratum_set ctx in
   Alcotest.(check int) "k = 1" 1 (Frag_set.cardinal (Reduce.reduce ctx s));
-  let unchecked = Fixed_point.with_reduction_unchecked ctx s in
+  let unchecked = Fixed_point.with_reduction ~checked:false ctx s in
   let naive = Fixed_point.naive ctx s in
   (* The paper's recipe under-computes here… *)
   Alcotest.(check bool) "paper recipe misses a fragment" false
@@ -203,7 +203,7 @@ let theorem1_unchecked_prop =
        (fun input ->
          let ctx, s = random_singleton_set input in
          Frag_set.equal (Fixed_point.naive ctx s)
-           (Fixed_point.with_reduction_unchecked ctx s)))
+           (Fixed_point.with_reduction ~checked:false ctx s)))
 
 let semi_naive_equals_naive_prop =
   QCheck_alcotest.to_alcotest
@@ -219,7 +219,7 @@ let semi_naive_filtered_prop =
          let ctx, s = random_set input in
          let keep f = Fragment.size f <= 4 in
          Frag_set.equal
-           (Fixed_point.naive_filtered ctx ~keep s)
+           (Fixed_point.naive ~keep ctx s)
            (Fixed_point.semi_naive ~keep ctx s)))
 
 let semi_naive_fewer_joins_prop =
@@ -263,10 +263,10 @@ let filtered_soundness_prop =
          let keep f = Fragment.size f <= 4 in
          Frag_set.equal
            (Frag_set.filter keep (Fixed_point.naive ctx s))
-           (Fixed_point.naive_filtered ctx ~keep s)
+           (Fixed_point.naive ~keep ctx s)
          && Frag_set.equal
               (Frag_set.filter keep (Fixed_point.naive ctx s))
-              (Fixed_point.with_reduction_filtered ctx ~keep s)))
+              (Fixed_point.with_reduction ~keep ctx s)))
 
 let () =
   Alcotest.run "fixed_point"

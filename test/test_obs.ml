@@ -15,6 +15,7 @@ module Fragment = Xfrag_core.Fragment
 module Filter = Xfrag_core.Filter
 module Query = Xfrag_core.Query
 module Eval = Xfrag_core.Eval
+module Exec = Xfrag_core.Exec
 module Op_stats = Xfrag_core.Op_stats
 module Paper = Xfrag_workload.Paper_doc
 
@@ -257,7 +258,9 @@ let test_chrome_schema_on_real_trace () =
   let ctx = Paper.figure1_context () in
   let q = Query.make ~filter:(Filter.Size_at_most 3) Paper.query_keywords in
   let trace = Trace.create () in
-  ignore (Eval.run ~strategy:Eval.Semi_naive ~trace ctx q);
+  ignore
+    (Eval.exec ctx
+       Exec.Request.(of_query q |> with_strategy Eval.Semi_naive |> with_trace trace));
   let parsed = Jread.parse (Export.to_chrome trace) in
   match parsed with
   | Jread.Obj fields ->
@@ -298,7 +301,7 @@ let test_jsonl_lines_parse () =
   let ctx = Paper.figure1_context () in
   let q = Query.make ~filter:(Filter.Size_at_most 3) Paper.query_keywords in
   let trace = Trace.create () in
-  ignore (Eval.run ~trace ctx q);
+  ignore (Eval.exec ctx Exec.Request.(of_query q |> with_trace trace));
   let lines =
     List.filter (fun l -> l <> "") (String.split_on_char '\n' (Export.to_jsonl trace))
   in
@@ -326,8 +329,11 @@ let test_tracing_preserves_answers () =
   let q = Query.make ~filter:(Filter.Size_at_most 3) Paper.query_keywords in
   List.iter
     (fun strategy ->
-      let plain = Eval.run ~strategy ctx q in
-      let traced = Eval.run ~strategy ~trace:(Trace.create ()) ctx q in
+      let request = Exec.Request.(of_query q |> with_strategy strategy) in
+      let plain = Eval.exec ctx request in
+      let traced =
+        Eval.exec ctx (Exec.Request.with_trace (Trace.create ()) request)
+      in
       Alcotest.(check bool)
         (Eval.strategy_name strategy ^ " answers equal")
         true

@@ -11,6 +11,9 @@ module Plan = Xfrag_core.Plan
 module Rewrite = Xfrag_core.Rewrite
 module Cost = Xfrag_core.Cost
 module Optimizer = Xfrag_core.Optimizer
+module Selection = Xfrag_core.Selection
+module Op_stats = Xfrag_core.Op_stats
+module Exec = Xfrag_core.Exec
 module Paper = Xfrag_workload.Paper_doc
 module Random_tree = Xfrag_workload.Random_tree
 module Prng = Xfrag_util.Prng
@@ -19,27 +22,27 @@ let set_testable = Alcotest.testable Frag_set.pp Frag_set.equal
 
 let ctx = lazy (Paper.figure1_context ())
 
-let paper_query () = Query.make ~filter:(Filter.Size_at_most 3) Paper.query_keywords
+let paper_query ?(filter = Filter.Size_at_most 3) () = Query.make ~filter Paper.query_keywords
 
 (* --- initial plan --- *)
+
+let scan k = Plan.Scan_keyword k
+
+let fixed_point ?(prune = Filter.True) ?(rounds = Plan.Until_stable) seed =
+  Plan.Fixed_point { prune; rounds; seed }
 
 let test_initial_plan_shape () =
   let q = paper_query () in
   match Plan.initial q with
-  | Plan.Select (Filter.Size_at_most 3, Plan.Power_join (Plan.Scan_keyword k1, Plan.Scan_keyword k2)) ->
+  | Plan.Select (Filter.Size_at_most 3, Plan.Power_join [ Plan.Scan_keyword k1; Plan.Scan_keyword k2 ]) ->
       Alcotest.(check string) "first keyword" "optimization" k1;
       Alcotest.(check string) "second keyword" "xquery" k2
   | p -> Alcotest.failf "unexpected initial plan %s" (Format.asprintf "%a" Plan.pp p)
 
 let test_initial_plan_three_keywords () =
   let q = Query.make [ "a"; "b"; "c" ] in
-  match Plan.initial q with
-  | Plan.Select
-      ( Filter.True,
-        Plan.Power_join (Plan.Power_join (Plan.Scan_keyword "a", Plan.Scan_keyword "b"),
-                         Plan.Scan_keyword "c") ) ->
-      ()
-  | p -> Alcotest.failf "unexpected plan %s" (Format.asprintf "%a" Plan.pp p)
+  Alcotest.(check bool) "one 3-ary power join" true
+    (Plan.initial q = Plan.Select (Filter.True, Plan.Power_join [ scan "a"; scan "b"; scan "c" ]))
 
 (* --- plan evaluation matches Eval --- *)
 
@@ -48,49 +51,67 @@ let test_initial_plan_evaluates_to_answer () =
   let q = paper_query () in
   Alcotest.check set_testable "plan eval = strategy eval"
     (Eval.answers ~strategy:Eval.Brute_force c q)
-    (Plan.eval c (Plan.initial q))
+    (Plan.run c (Plan.initial q));
+  (* One keyword: σ_true(F⁺), the six fragments of F(optimization)⁺. *)
+  Alcotest.(check int) "single keyword keeps F⁺" 6
+    (Frag_set.cardinal (Plan.run c (Plan.initial (Query.make [ "optimization" ]))))
 
 (* --- rewrite rules preserve semantics --- *)
 
 let test_power_to_fixpoint_shape () =
   let q = paper_query () in
-  match Rewrite.power_to_fixpoint (Plan.initial q) with
-  | Plan.Select (_, Plan.Pair_join (Plan.Fixed_point _, Plan.Fixed_point _)) -> ()
-  | p -> Alcotest.failf "unexpected shape %s" (Format.asprintf "%a" Plan.pp p)
+  Alcotest.(check bool) "F1⁺ ⋈ F2⁺" true
+    (Rewrite.power_to_fixpoint (Plan.initial q)
+    = Plan.Select
+        ( Filter.Size_at_most 3,
+          Plan.Join
+            {
+              prune = Filter.True;
+              left = fixed_point (scan "optimization");
+              right = fixed_point (scan "xquery");
+            } ))
 
 let test_use_reduction_shape () =
   let q = paper_query () in
-  let p = Rewrite.use_reduction (Rewrite.power_to_fixpoint (Plan.initial q)) in
-  match p with
-  | Plan.Select (_, Plan.Pair_join (Plan.Fixed_point_reduced _, Plan.Fixed_point_reduced _)) -> ()
+  match Rewrite.use_reduction (Rewrite.power_to_fixpoint (Plan.initial q)) with
+  | Plan.Select
+      ( _,
+        Plan.Join
+          {
+            left = Plan.Fixed_point { rounds = Plan.Theorem1; _ };
+            right = Plan.Fixed_point { rounds = Plan.Theorem1; _ };
+            _;
+          } ) ->
+      ()
   | p -> Alcotest.failf "unexpected shape %s" (Format.asprintf "%a" Plan.pp p)
 
 let test_push_selection_shape () =
-  (* Figure 5: the anti-monotonic selection moves below the join and the
-     scans gain σ_Pa. *)
+  (* Figure 5: the anti-monotonic selection moves below the join and into
+     both fixed points; the residual (here nothing) stays on top. *)
   let q = paper_query () in
-  let p = Rewrite.push_selection (Rewrite.power_to_fixpoint (Plan.initial q)) in
-  match p with
-  | Plan.Select
-      ( Filter.Size_at_most 3,
-        Plan.Pair_join_filtered
-          ( Filter.Size_at_most 3,
-            Plan.Fixed_point_filtered (_, Plan.Select (Filter.Size_at_most 3, Plan.Scan_keyword _)),
-            Plan.Fixed_point_filtered (_, Plan.Select (Filter.Size_at_most 3, Plan.Scan_keyword _)) ) ) ->
-      ()
-  | p -> Alcotest.failf "unexpected shape %s" (Format.asprintf "%a" Plan.pp p)
+  let am = Filter.Size_at_most 3 in
+  Alcotest.(check bool) "pruned join of pruned fixed points" true
+    (Rewrite.push_selection (Rewrite.power_to_fixpoint (Plan.initial q))
+    = Plan.Select
+        ( Filter.True,
+          Plan.Join
+            {
+              prune = am;
+              left = fixed_point ~prune:am (scan "optimization");
+              right = fixed_point ~prune:am (scan "xquery");
+            } ))
 
 let test_push_selection_id_without_am_filter () =
   let q = Query.make ~filter:(Filter.Size_at_least 2) [ "xquery"; "optimization" ] in
   let base = Rewrite.power_to_fixpoint (Plan.initial q) in
-  Alcotest.(check bool) "no change" true (Plan.equal base (Rewrite.push_selection base))
+  Alcotest.(check bool) "no change" true (base = Rewrite.push_selection base)
 
 let test_mixed_filter_residual_on_top () =
   let filter = Filter.And (Filter.Size_at_most 3, Filter.Size_at_least 2) in
   let q = Query.make ~filter [ "xquery"; "optimization" ] in
   let p = Rewrite.push_selection (Rewrite.power_to_fixpoint (Plan.initial q)) in
   match p with
-  | Plan.Select (Filter.Size_at_least 2, Plan.Select (Filter.Size_at_most 3, _)) -> ()
+  | Plan.Select (Filter.Size_at_least 2, Plan.Join { prune = Filter.Size_at_most 3; _ }) -> ()
   | p -> Alcotest.failf "residual not on top: %s" (Format.asprintf "%a" Plan.pp p)
 
 let rewrites_preserve_semantics_prop =
@@ -107,30 +128,21 @@ let rewrites_preserve_semantics_prop =
              (Filter.Size_at_most (2 + Prng.int prng 4), Filter.Size_at_least 1)
          in
          let q = Query.make ~filter [ k1; k2 ] in
-         let base = Plan.initial q in
-         let reference = Plan.eval c (Rewrite.power_to_fixpoint base) in
+         let reference = Plan.run c (Rewrite.power_to_fixpoint (Plan.initial q)) in
          List.for_all
-           (fun rewritten -> Frag_set.equal reference (Plan.eval c rewritten))
-           [
-             Rewrite.use_reduction (Rewrite.power_to_fixpoint base);
-             Rewrite.push_selection (Rewrite.power_to_fixpoint base);
-             Rewrite.optimize_fully base;
-           ]))
+           (fun strategy ->
+             Frag_set.equal reference (Plan.run c (Optimizer.plan_of strategy q)))
+           [ Eval.Set_reduction; Eval.Pushdown; Eval.Pushdown_reduction; Eval.Semi_naive ]))
 
 let test_paper_example_all_rewrites () =
   let c = Lazy.force ctx in
   let q = paper_query () in
-  let base = Plan.initial q in
-  let reference = Plan.eval c base in
+  let reference = Plan.run c (Plan.initial q) in
   List.iter
-    (fun (name, p) ->
-      Alcotest.check set_testable name reference (Plan.eval c p))
-    [
-      ("power_to_fixpoint", Rewrite.power_to_fixpoint base);
-      ("use_reduction", Rewrite.use_reduction (Rewrite.power_to_fixpoint base));
-      ("push_selection", Rewrite.push_selection (Rewrite.power_to_fixpoint base));
-      ("optimize_fully", Rewrite.optimize_fully base);
-    ]
+    (fun strategy ->
+      Alcotest.check set_testable (Eval.strategy_name strategy) reference
+        (Plan.run c (Optimizer.plan_of strategy q)))
+    Eval.all_strategies
 
 (* --- printing --- *)
 
@@ -143,7 +155,9 @@ let test_pp_plan () =
 
 let test_pp_tree_multiline () =
   let q = paper_query () in
-  let rendered = Format.asprintf "%a" Plan.pp_tree (Rewrite.optimize_fully (Plan.initial q)) in
+  let rendered =
+    Format.asprintf "%a" Plan.pp_tree (Optimizer.plan_of Eval.Pushdown_reduction q)
+  in
   Alcotest.(check bool) "multiple lines" true
     (List.length (String.split_on_char '\n' rendered) > 3)
 
@@ -185,30 +199,39 @@ let test_selectivity_bounds () =
       Alcotest.(check bool) (Filter.to_string p) true (s >= 0.0 && s <= 1.0))
     filters
 
+(* §5's rule, not a cost ranking: an anti-monotonic filter means
+   semi-naive without a probe, and the plan is that strategy's shape. *)
 let test_optimizer_chooses_valid_plan () =
   let c = Lazy.force ctx in
   let q = paper_query () in
-  let choice = Optimizer.optimize c q in
+  let scans = List.map (fun k -> (k, Selection.keyword c k)) q.Query.keywords in
+  let stats = Op_stats.create () in
+  let d = Optimizer.decide ~stats c (Exec.Request.of_query q) q scans in
+  Alcotest.(check string) "semi-naive" "semi-naive" (Eval.strategy_name d.Optimizer.strategy);
+  Alcotest.(check bool) "its plan shape" true
+    (d.Optimizer.plan = Optimizer.plan_of Eval.Semi_naive q);
+  Alcotest.(check int) "no probe" 0 (Op_stats.total_work stats);
   Alcotest.check set_testable "optimizer plan is correct"
     (Eval.answers ~strategy:Eval.Brute_force c q)
-    (Plan.eval c choice.Optimizer.plan);
-  Alcotest.(check bool) "cheapest among alternatives" true
-    (List.for_all (fun (_, cost) -> cost >= choice.Optimizer.estimated_cost)
-       choice.Optimizer.alternatives)
+    (Plan.run c d.Optimizer.plan)
 
 let test_optimizer_probes_rf () =
   let c = Lazy.force ctx in
-  let choice = Optimizer.optimize c (paper_query ()) in
-  (* F2 = {16,17,81} reduces to {17,81}: RF = 1/3. *)
-  match List.assoc_opt "optimization" choice.Optimizer.reduction_factors with
-  | Some rf -> Alcotest.(check bool) "RF ≈ 1/3" true (Float.abs (rf -. (1.0 /. 3.0)) < 1e-9)
-  | None -> Alcotest.fail "optimization RF not probed"
+  let q = paper_query ~filter:Filter.True () in
+  let scans = List.map (fun k -> (k, Selection.keyword c k)) q.Query.keywords in
+  let d = Optimizer.decide c (Exec.Request.of_query q) q scans in
+  (* F2 = {16,17,81} reduces to {17,81}: RF = 1/3 ≥ 0.25. *)
+  (match List.assoc_opt "optimization" d.Optimizer.reduced with
+  | Some r -> Alcotest.(check int) "⊖(F2) = {17, 81}" 2 (Frag_set.cardinal r)
+  | None -> Alcotest.fail "optimization not probed");
+  Alcotest.(check string) "set reduction pays" "set-reduction"
+    (Eval.strategy_name d.Optimizer.strategy)
 
 let test_explain_mentions_plans () =
   let c = Lazy.force ctx in
-  let report = Optimizer.explain c (paper_query ()) in
-  Alcotest.(check bool) "mentions candidates" true
-    (Astring.String.is_infix ~affix:"candidates:" report);
+  let report = Optimizer.explain c (paper_query ~filter:Filter.True ()) in
+  Alcotest.(check bool) "names the strategy" true
+    (Astring.String.is_infix ~affix:"strategy: set-reduction" report);
   Alcotest.(check bool) "mentions RF" true
     (Astring.String.is_infix ~affix:"RF" report)
 

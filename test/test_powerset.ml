@@ -57,7 +57,9 @@ let test_theorem2_paper_example () =
       [ Fragment.singleton 16; Fragment.singleton 17; Fragment.singleton 81 ]
   in
   let literal = Powerset.literal ctx s1 s2 in
-  let theorem2 = Powerset.via_fixed_points ctx s1 s2 in
+  let theorem2 =
+    Join.pairwise ctx (Fixed_point.naive ctx s1) (Fixed_point.naive ctx s2)
+  in
   Alcotest.check set_testable "Theorem 2" literal theorem2;
   Alcotest.(check int) "7 unique fragments" 7 (Frag_set.cardinal literal)
 
@@ -71,7 +73,7 @@ let theorem2_prop =
          let s1 = Random_tree.fragment_set ctx prng ~max_fragments:4 in
          let s2 = Random_tree.fragment_set ctx prng ~max_fragments:4 in
          Frag_set.equal (Powerset.literal ctx s1 s2)
-           (Powerset.via_fixed_points ctx s1 s2)))
+           (Join.pairwise ctx (Fixed_point.naive ctx s1) (Fixed_point.naive ctx s2))))
 
 let theorem2_with_reduction_prop =
   QCheck_alcotest.to_alcotest
@@ -84,9 +86,9 @@ let theorem2_with_reduction_prop =
          let s1 = Random_tree.fragment_set ctx prng ~max_fragments:4 in
          let s2 = Random_tree.fragment_set ctx prng ~max_fragments:4 in
          Frag_set.equal (Powerset.literal ctx s1 s2)
-           (Powerset.via_fixed_points ~fixed_point:(fun ?stats ?trace ctx set ->
-                 Fixed_point.with_reduction ?stats ?trace ctx set)
-               ctx s1 s2)))
+           (Join.pairwise ctx
+              (Fixed_point.with_reduction ctx s1)
+              (Fixed_point.with_reduction ctx s2))))
 
 let test_many_literal_single () =
   (* With one operand, the m-ary powerset join degenerates to the fixed
@@ -122,14 +124,13 @@ let many_theorem2_prop =
          in
          Frag_set.equal
            (Powerset.many_literal ctx sets)
-           (Powerset.many_via_fixed_points ctx sets)))
+           (match List.map (Fixed_point.naive ctx) sets with
+           | [] -> assert false
+           | fp :: fps -> List.fold_left (Join.pairwise ctx) fp fps)))
 
 let test_empty_operand_list () =
   let ctx = Lazy.force fig3 in
-  (match Powerset.many_literal ctx [] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument for []");
-  match Powerset.many_via_fixed_points ctx [] with
+  match Powerset.many_literal ctx [] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument for []"
 

@@ -365,6 +365,11 @@ let string_field key j =
   | Some s -> s
   | None -> Alcotest.failf "missing string field %S" key
 
+let obj_field key j =
+  match Json.member key j with
+  | Some (Json.Obj _ as o) -> o
+  | _ -> Alcotest.failf "missing object field %S" key
+
 let query_body =
   Json.to_string
     (Json.Obj
@@ -410,7 +415,9 @@ let test_request_id_on_error_responses () =
     Alcotest.(check bool)
       (Printf.sprintf "%d body carries request_id" resp.Http.status)
       true
-      (String.length (string_field "request_id" (body_json resp)) > 0)
+      (String.length
+         (string_field "request_id" (obj_field "error" (body_json resp)))
+      > 0)
   in
   has_id "{nope";
   (* 400: unparseable body *)
@@ -419,6 +426,29 @@ let test_request_id_on_error_responses () =
   has_id ~meth:"GET" ~path:"/query" "";
   (* 405 *)
   has_id ~query:[ ("deadline_ns", "0") ] query_body (* 408 *)
+
+(* /explain profiles what /query runs and names its strategy, in the
+   reply and in its wide event. *)
+let test_explain_names_strategy () =
+  with_recorder (fun () ->
+      let router = make_router () in
+      let post ?(headers = []) path body =
+        body_json (Router.handle router (make_request ~headers ~path body))
+      in
+      let q = post "/query" query_body in
+      let e = post ~headers:[ ("x-request-id", "explain-1") ] "/explain" query_body in
+      Alcotest.(check string) "strategy of /query" (string_field "strategy" q)
+        (string_field "strategy" e);
+      Alcotest.(check int) "count of /query" (int_field "count" q) (int_field "count" e);
+      (match Recorder.find "explain-1" with
+      | Some ev ->
+          Alcotest.(check string) "wide event strategy" (string_field "strategy" e)
+            ev.Recorder.strategy
+      | None -> Alcotest.fail "explain event not recorded");
+      let forced =
+        post "/explain" {|{"keywords":["xquery","optimization"],"strategy":"naive"}|}
+      in
+      Alcotest.(check string) "forced strategy" "naive" (string_field "strategy" forced))
 
 let test_debug_requests () =
   with_recorder (fun () ->
@@ -522,7 +552,7 @@ let test_fault_500_lands_in_recorder () =
       Alcotest.(check (option string)) "500 echoes the id" (Some "chaos-1")
         (resp_header "x-request-id" resp);
       Alcotest.(check string) "500 body carries request_id" "chaos-1"
-        (string_field "request_id" (body_json resp));
+        (string_field "request_id" (obj_field "error" (body_json resp)));
       match Recorder.find "chaos-1" with
       | None -> Alcotest.fail "fault event not in the flight recorder"
       | Some ev ->
@@ -536,11 +566,6 @@ module Fault = Xfrag_fault.Fault
 
 let small_doc_xml =
   "<doc><sec>mangrove mangrove estuary</sec><sec>mangrove wetlands</sec></doc>"
-
-let obj_field key j =
-  match Json.member key j with
-  | Some (Json.Obj _ as o) -> o
-  | _ -> Alcotest.failf "missing object field %S" key
 
 let bool_field key j =
   match Json.member key j with
@@ -687,9 +712,9 @@ let test_error_envelope_shape () =
     (String.length (string_field "message" env) > 0);
   let id = string_field "request_id" env in
   Alcotest.(check bool) "envelope request_id" true (String.length id > 0);
-  (* Deprecated top-level aliases mirror the envelope for one release. *)
-  Alcotest.(check string) "alias kind" "not_found" (string_field "kind" j);
-  Alcotest.(check string) "alias request_id" id (string_field "request_id" j)
+  Alcotest.(check (list string)) "only the envelope at the top level"
+    [ "error" ]
+    (match j with Json.Obj fields -> List.map fst fields | _ -> [])
 
 let test_405_allow () =
   let router = make_corpus_router () in
@@ -706,7 +731,7 @@ let test_405_allow () =
       expect
       (List.map
          (function Json.String s -> s | _ -> "?")
-         (list_field "allow" j));
+         (list_field "allow" (obj_field "error" j)));
     Alcotest.(check string) (path ^ " kind") "method_not_allowed"
       (string_field "kind" (obj_field "error" j))
   in
@@ -969,6 +994,8 @@ let () =
           Alcotest.test_case "errors" `Quick test_router_errors;
           Alcotest.test_case "deadline 408" `Quick test_router_deadline_408;
           Alcotest.test_case "explain" `Quick test_router_explain;
+          Alcotest.test_case "explain names its strategy" `Quick
+            test_explain_names_strategy;
           Alcotest.test_case "metrics page" `Quick test_router_metrics_page;
           Alcotest.test_case "metrics label cardinality" `Quick
             test_router_metrics_label_cardinality;
