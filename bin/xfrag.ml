@@ -429,9 +429,8 @@ let shards_arg =
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Partition the corpus into $(docv) shards evaluated in parallel \
-           on the shared domain pool (0 = automatic: $(b,XFRAG_SHARDS) or \
-           the pool's parallelism).  Results are identical for every \
-           shard count.")
+           on the shared domain pool (0 = automatic: the pool's \
+           parallelism).  Results are identical for every shard count.")
 
 (* Quarantining load: a corrupt (or duplicate-named) FILE costs a
    warning and its own absence from the corpus, never the run.  Only a
@@ -573,8 +572,7 @@ let no_routing_arg =
         ~doc:
           "Disable index routing and top-k early termination: evaluate \
            the query against every document (the answers are identical \
-           either way — this is the escape hatch, like \
-           $(b,XFRAG_ROUTING=0)).")
+           either way).")
 
 let slow_ms_arg =
   Arg.(

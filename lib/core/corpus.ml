@@ -413,11 +413,6 @@ let merge_runs ~limit runs =
   done;
   List.rev !out
 
-let routing_env_enabled () =
-  match Sys.getenv_opt "XFRAG_ROUTING" with
-  | Some ("0" | "off" | "false" | "no") -> false
-  | _ -> true
-
 let run ?pool ?shards ?routing ?bound ?(scorer = fun _ _ -> 0.)
     ?(clock = Clock.monotonic) t (request : Exec.Request.t) =
   let t0 = clock () in
@@ -425,17 +420,9 @@ let run ?pool ?shards ?routing ?bound ?(scorer = fun _ _ -> 0.)
   let requested =
     match shards with
     | Some n -> max 1 n
-    | None -> (
-        match Sys.getenv_opt "XFRAG_SHARDS" with
-        | Some s -> (
-            match int_of_string_opt s with
-            | Some n when n >= 1 -> n
-            | _ -> Shard_pool.parallelism pool)
-        | None -> Shard_pool.parallelism pool)
+    | None -> Shard_pool.parallelism pool
   in
-  let routing_enabled =
-    match routing with Some b -> b | None -> routing_env_enabled ()
-  in
+  let routing_enabled = Option.value routing ~default:true in
   (* Routing: intersect the corpus-wide posting lists so only documents
      containing every keyword are dispatched at all.  Any reason it
      cannot apply — routing disabled, index dropped, a request whose
@@ -505,8 +492,7 @@ let run ?pool ?shards ?routing ?bound ?(scorer = fun _ _ -> 0.)
     in
     (* Early termination only composes with routing: the bound's
        soundness is the caller's claim about the scorer, and disabling
-       routing (the escape hatch, XFRAG_ROUTING=0) must yield a plain
-       full scan. *)
+       routing ([~routing:false]) must yield a plain full scan. *)
     let bound = if routed = None then None else bound in
     let shard_docs = plan_shards docs n in
     let jobs =

@@ -24,8 +24,8 @@
     {e top-k early termination}: shards visit candidates bound-first and
     skip documents whose bound cannot strictly beat the worst kept
     score.  Both are transparent: routed answers are bit-identical to
-    full scans (property-tested), and [XFRAG_ROUTING=0] (or
-    [~routing:false]) restores the plain full scan. *)
+    full scans (property-tested), and [~routing:false] restores the
+    plain full scan. *)
 
 type t
 
@@ -180,8 +180,7 @@ val run :
   outcome
 (** Evaluate [request] against every document, sharded.
 
-    [routing] defaults to the [XFRAG_ROUTING] environment variable
-    (enabled unless it is [0]/[off]/[false]/[no]).  When routing
+    [routing] defaults to [true].  When routing
     applies, posting lists are intersected and only documents
     containing every keyword are sharded and evaluated; an empty
     intersection short-circuits to an empty outcome without touching
@@ -195,8 +194,7 @@ val run :
     only skips work.  Both default off for callers that pass nothing:
     no index → full scan, no [bound] → no skipping.
 
-    [shards] defaults to the [XFRAG_SHARDS] environment variable when it
-    is a positive integer, else to the pool's parallelism; it is clamped
+    [shards] defaults to the pool's parallelism; it is clamped
     to the candidate document count.  [pool] defaults to {!Shard_pool.default}
     (shared process-wide — concurrent callers reuse the same worker
     domains).  [scorer] ranks hits (default: constant [0.], which orders

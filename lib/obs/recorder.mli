@@ -28,7 +28,7 @@ type event = {
   merge_ns : int;  (** shard k-way merge *)
   total_ns : int;
   hits : int;
-  cache_hits : int;  (** join-cache hit delta attributed to this request *)
+  cache_hits : int;  (** join-cache hits charged to this request's own stats *)
   cache_misses : int;
   doc_errors : int;  (** quarantined per-document failures (corpus runs) *)
   routed_out : int;

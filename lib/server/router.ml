@@ -228,20 +228,12 @@ let new_pending () =
     p_site = "";
   }
 
-(* Join-cache hit/miss lifetime counters sampled around an evaluation
-   ([Atomic] reads — no lock needed).  Under concurrent workers the
-   delta can blend in a neighbor's traffic — it is attribution for
-   debugging, not accounting. *)
-let cache_snapshot = function
-  | None -> (0, 0)
-  | Some c -> (Join_cache.hits c, Join_cache.misses c)
-
-let charge_cache p cache (h0, m0) =
-  match cache with
-  | None -> ()
-  | Some c ->
-      p.p_cache_hits <- p.p_cache_hits + (Join_cache.hits c - h0);
-      p.p_cache_misses <- p.p_cache_misses + (Join_cache.misses c - m0)
+(* Join-cache attribution is the request's own: the cache charges every
+   hit and miss to the [Op_stats] of the evaluation that made it, so
+   concurrent requests never blend into each other's wide events. *)
+let charge_stats p (s : Op_stats.t) =
+  p.p_cache_hits <- p.p_cache_hits + s.Op_stats.cache_hits;
+  p.p_cache_misses <- p.p_cache_misses + s.Op_stats.cache_misses
 
 (* --- JSON plumbing --- *)
 
@@ -350,11 +342,10 @@ let stats_json stats =
 let handle_query t p ~id req =
   let r = request_of_body t p ~id req in
   let r = Exec.Request.with_cache t.cache r in
-  let snap = cache_snapshot t.cache in
   let outcome =
     try Eval.exec t.ctx r with Invalid_argument msg -> reject ~status:400 msg
   in
-  charge_cache p t.cache snap;
+  charge_stats p outcome.Eval.stats;
   let answers = Frag_set.elements outcome.Eval.answers in
   let count = List.length answers in
   p.p_strategy <- Eval.strategy_name outcome.Eval.strategy_used;
@@ -391,15 +382,26 @@ let rec explain_node_json (n : Explain.node) =
       ("children", Json.List (List.map explain_node_json n.Explain.children));
     ]
 
+(* One counter summed over the report's operators, probe included: the
+   deltas sum exactly to the stats [Eval.exec] charges for the same
+   request (property-tested). *)
+let explain_counter (report : Explain.report) name =
+  let rec sum acc (n : Explain.node) =
+    List.fold_left sum
+      (acc + Option.value ~default:0 (List.assoc_opt name n.Explain.counters))
+      n.Explain.children
+  in
+  List.fold_left sum 0 (Option.to_list report.Explain.probe @ [ report.Explain.root ])
+
 let handle_explain t p ~id req =
   let r = request_of_body t p ~id req in
   let r = Exec.Request.with_cache t.cache r in
-  let snap = cache_snapshot t.cache in
   let report =
     try Explain.analyze_request t.ctx r
     with Invalid_argument msg -> reject ~status:400 msg
   in
-  charge_cache p t.cache snap;
+  p.p_cache_hits <- explain_counter report "cache_hits";
+  p.p_cache_misses <- explain_counter report "cache_misses";
   let strategy = Exec.strategy_name report.Explain.strategy in
   p.p_strategy <- strategy;
   p.p_eval_ns <- report.Explain.total_ns;
@@ -505,7 +507,6 @@ let run_corpus_request t p corpus (r : Exec.Request.t) =
      [deadline_expired] set — a 200, not a 408: the contract of the
      corpus endpoint is "everything that finished". *)
   let r = Exec.Request.with_cache t.cache r in
-  let snap = cache_snapshot t.cache in
   let keywords = (Exec.Request.to_query r).Xfrag_core.Query.keywords in
   let scorer ctx f = Ranking.score ctx ~keywords f in
   (* The index-derived bound dominates [Ranking.score] for the same
@@ -517,7 +518,7 @@ let run_corpus_request t p corpus (r : Exec.Request.t) =
     try Corpus.run ?shards:t.shards ?bound ~scorer corpus r
     with Invalid_argument msg -> reject ~status:400 msg
   in
-  charge_cache p t.cache snap;
+  charge_stats p outcome.Corpus.stats;
   record_corpus t outcome;
   p.p_strategy <- Exec.strategy_name r.Exec.Request.strategy;
   p.p_shards <- max p.p_shards (List.length outcome.Corpus.shard_reports);

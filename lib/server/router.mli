@@ -127,8 +127,8 @@ val create :
     empty; [POST /corpus/query] 404s while the collection is empty, but
     [PUT /corpus/docs/{name}] can populate a server started without
     one); [shards] pins its shard count (default: the
-    {!Xfrag_core.Corpus.run} default — [XFRAG_SHARDS] or the pool's
-    parallelism).  [queue_depth] feeds the [server_queue_depth] gauge at
+    {!Xfrag_core.Corpus.run} default — the pool's parallelism).
+    [queue_depth] feeds the [server_queue_depth] gauge at
     scrape time.  [slow_ms] sets the [/debug/slow] default threshold
     and arms SLOW mirror lines; [access_log] (e.g. [stderr] or an
     opened [--access-log] file) receives one structured JSON line per
@@ -142,7 +142,7 @@ val set_queue_depth : t -> (unit -> int) -> unit
 val handle : ?queue_ns:int -> t -> Http.request -> Http.response
 (** Dispatch one request, recording per-endpoint request counters and
     latency into the registry, one wide event into the flight recorder
-    (stage timings, hit counts, cache deltas, outcome), and one
+    (stage timings, hit counts, own cache hits/misses, outcome), and one
     access-log line.  [queue_ns] is the admission-queue wait the
     listener measured before a worker picked the connection up. *)
 

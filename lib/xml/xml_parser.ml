@@ -297,8 +297,4 @@ let parse_string_result ?options data =
   | exception Xml_error.Parse_error e -> Error e
 
 let parse_file ?options path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let data = really_input_string ic n in
-  close_in ic;
-  parse_string ?options data
+  parse_string ?options (In_channel.with_open_bin path In_channel.input_all)

@@ -13,9 +13,6 @@ let eof t = t.pos >= String.length t.data
 
 let peek t = if eof t then None else Some t.data.[t.pos]
 
-let peek2 t =
-  if t.pos + 1 >= String.length t.data then None else Some t.data.[t.pos + 1]
-
 let advance t =
   if not (eof t) then begin
     (if t.data.[t.pos] = '\n' then begin

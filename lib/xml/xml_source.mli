@@ -12,9 +12,6 @@ val eof : t -> bool
 val peek : t -> char option
 (** Look at the next byte without consuming it. *)
 
-val peek2 : t -> char option
-(** Look one byte past {!peek}. *)
-
 val advance : t -> unit
 (** Consume one byte.  No-op at end of input. *)
 

@@ -528,8 +528,9 @@ let test_eval_document_fault_is_contained () =
                 Corpus.run ~shards ~scorer (Corpus.of_documents docs) r
               in
               (* With routing off (outcome carries no routing report —
-                 e.g. the XFRAG_ROUTING=0 CI leg), every document is
-                 dispatched and the victim's fault always fires. *)
+                 e.g. the index was dropped under the index.build chaos
+                 leg), every document is dispatched and the victim's
+                 fault always fires. *)
               let expected_errors =
                 if o.Corpus.routing = None || List.mem victim candidates then
                   [ victim ]
@@ -786,25 +787,6 @@ let test_bound_skips_fire_and_preserve_answers () =
            (fun a sr -> a + sr.Corpus.shard_bound_skips)
            0 o.Corpus.shard_reports)
 
-let test_env_escape_hatch_disables_routing () =
-  (* XFRAG_ROUTING=0 (the CI full-scan leg) must force routing = None
-     even with an indexed corpus; an explicit ~routing argument beats
-     the environment in both directions. *)
-  let c = make_wide_corpus () in
-  let r = request ~limit:5 [ "mangrove" ] in
-  let with_env value f =
-    (* putenv cannot unset, so an originally-absent variable is restored
-       as "" — which the parser treats the same way (routing stays on). *)
-    let prev = Option.value (Sys.getenv_opt "XFRAG_ROUTING") ~default:"" in
-    Unix.putenv "XFRAG_ROUTING" value;
-    Fun.protect ~finally:(fun () -> Unix.putenv "XFRAG_ROUTING" prev) f
-  in
-  with_env "0" (fun () ->
-      Alcotest.(check bool) "env disables" true
-        ((Corpus.run c r).Corpus.routing = None);
-      Alcotest.(check bool) "explicit arg overrides env" true
-        ((Corpus.run ~routing:true c r).Corpus.routing <> None))
-
 (* --- mutation: remove / replace / add-or-replace --- *)
 
 module Corpus_index = Xfrag_index.Corpus_index
@@ -1045,8 +1027,6 @@ let () =
             test_routing_counts;
           Alcotest.test_case "bound skips fire and preserve answers" `Quick
             test_bound_skips_fire_and_preserve_answers;
-          Alcotest.test_case "XFRAG_ROUTING=0 escape hatch" `Quick
-            test_env_escape_hatch_disables_routing;
         ] );
       ( "mutation",
         [

@@ -228,6 +228,25 @@ let test_loader_parse_failpoint_quarantines_by_path () =
       Alcotest.(check (list string)) "sibling loads" [ "b.xml" ]
         (List.map fst docs))
 
+let test_loader_quarantine_closes_descriptors () =
+  (* A directory opens like a file and then fails to read: every such
+     quarantined path must leave no descriptor open behind it. *)
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let dir = fresh_dir () in
+  let paths =
+    List.init 100 (fun i ->
+        let d = Filename.concat dir (Printf.sprintf "dir%03d.xml" i) in
+        (try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+        d)
+  in
+  let before = open_fds () in
+  let docs, quarantine = Loader.load_documents paths in
+  let after = open_fds () in
+  Alcotest.(check int) "nothing loads" 0 (List.length docs);
+  Alcotest.(check int) "every path quarantined" 100 (List.length quarantine);
+  Alcotest.(check int) "open descriptors unchanged" before after
+
 let test_codec_read_faults_become_errors () =
   let dir = fresh_dir () in
   let path = Filename.concat dir "t.doctree" in
@@ -494,6 +513,8 @@ let () =
             test_loader_quarantines_duplicate_names;
           Alcotest.test_case "parse.document fires per path" `Quick
             test_loader_parse_failpoint_quarantines_by_path;
+          Alcotest.test_case "quarantine closes descriptors" `Quick
+            test_loader_quarantine_closes_descriptors;
           Alcotest.test_case "codec read faults become errors" `Quick
             test_codec_read_faults_become_errors;
         ] );

@@ -300,45 +300,6 @@ let test_frag_rel_random_docs () =
       Alcotest.failf "seed %d: relational and native answers differ" seed
   done
 
-(* --- ordered index --- *)
-
-module Ordered_index = Xfrag_relstore.Ordered_index
-
-let test_ordered_index_basics () =
-  let db = people_db () in
-  let idx = Ordered_index.build (Database.table db "person") ~column:"age" in
-  Alcotest.(check int) "cardinality" 4 (Ordered_index.cardinality idx);
-  Alcotest.(check (option int)) "min" (Some 17) (Ordered_index.min_key idx);
-  Alcotest.(check (option int)) "max" (Some 63) (Ordered_index.max_key idx);
-  Alcotest.(check int) "point hit" 2 (List.length (Ordered_index.point idx 17));
-  Alcotest.(check int) "point miss" 0 (List.length (Ordered_index.point idx 99));
-  Alcotest.(check int) "range" 3 (List.length (Ordered_index.range idx ~lo:17 ~hi:40));
-  Alcotest.(check int) "empty range" 0 (List.length (Ordered_index.range idx ~lo:40 ~hi:17))
-
-let test_ordered_index_rejects_text () =
-  let db = people_db () in
-  match Ordered_index.build (Database.table db "person") ~column:"name" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected rejection of a text column"
-
-let test_ordered_index_descendant_scan () =
-  (* The pre-order interval encoding: descendants of v are the node rows
-     with v < id <= last(v), one range scan. *)
-  let db = Mapping.of_doctree (Paper.figure1 ()) in
-  let idx = Ordered_index.build (Database.table db "node") ~column:"id" in
-  let last_of v =
-    match Database.index_lookup db ~table:"node" ~column:"id" (Value.Int v) with
-    | [ row ] -> Value.to_int row.(Schema.position Mapping.node_schema "last")
-    | _ -> Alcotest.fail "node lookup"
-  in
-  let descendants v =
-    Ordered_index.range idx ~lo:(v + 1) ~hi:(last_of v)
-    |> List.map (fun row -> Value.to_int row.(0))
-  in
-  Alcotest.(check (list int)) "descendants of n16" [ 17; 18 ] (descendants 16);
-  Alcotest.(check (list int)) "descendants of n79" [ 80; 81 ] (descendants 79);
-  Alcotest.(check int) "descendants of root" 81 (List.length (descendants 0))
-
 (* --- frag_tables: set-at-a-time relational fragment algebra --- *)
 
 module Frag_tables = Xfrag_relstore.Frag_tables
@@ -491,31 +452,6 @@ let distinct_idempotent_prop =
          let twice = Relalg.eval db (Relalg.Distinct (Relalg.Distinct scan)) in
          sorted_rows once = sorted_rows twice))
 
-let ordered_index_matches_filter_prop =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"range scan = filter scan" ~count:100
-       QCheck2.Gen.(1 -- 100_000)
-       (fun seed ->
-         let prng = Xfrag_util.Prng.create seed in
-         let db = random_db_and_tables prng in
-         let rel = Database.table db "r" in
-         let idx = Ordered_index.build rel ~column:"a" in
-         let lo = Xfrag_util.Prng.int prng 7 - 1 in
-         let hi = lo + Xfrag_util.Prng.int prng 7 in
-         let via_index =
-           Ordered_index.range idx ~lo ~hi |> List.map Array.to_list |> List.sort compare
-         in
-         let via_scan =
-           Relation.fold
-             (fun acc row ->
-               match row.(0) with
-               | Value.Int k when k >= lo && k <= hi -> Array.to_list row :: acc
-               | Value.Int _ | Value.Text _ | Value.Null -> acc)
-             [] rel
-           |> List.sort compare
-         in
-         via_index = via_scan))
-
 let sql_matches_handwritten_plan_prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"SQL compiles to an equivalent plan" ~count:60
@@ -581,14 +517,6 @@ let () =
           Alcotest.test_case "query = native (unfiltered)" `Quick
             test_frag_rel_query_unfiltered;
           Alcotest.test_case "random documents" `Quick test_frag_rel_random_docs;
-        ] );
-      ( "ordered_index",
-        [
-          Alcotest.test_case "basics" `Quick test_ordered_index_basics;
-          Alcotest.test_case "rejects text column" `Quick test_ordered_index_rejects_text;
-          Alcotest.test_case "descendant range scan" `Quick
-            test_ordered_index_descendant_scan;
-          ordered_index_matches_filter_prop;
         ] );
       ( "frag_tables",
         [

@@ -560,6 +560,45 @@ let test_fault_500_lands_in_recorder () =
           Alcotest.(check string) "site" "eval.request" ev.Recorder.site;
           Alcotest.(check int) "status" 500 ev.Recorder.status)
 
+(* Two domains query through one router and one synchronized cache: each
+   wide event must carry its own request's cache hits and misses, exactly
+   as its reply's stats report them, however the requests interleave. *)
+let test_concurrent_cache_attribution () =
+  with_recorder (fun () ->
+      let ctx =
+        Xfrag_workload.Docgen.generate_context
+          { Xfrag_workload.Docgen.default with sections = 3 }
+      in
+      let cache = Xfrag_core.Join_cache.create ~synchronized:true () in
+      let router = Router.create ~cache ctx in
+      let body = {|{"keywords":["term0003","term0005"],"filters":{"max_size":3}}|} in
+      let client d () =
+        List.init 40 (fun i ->
+            let id = Printf.sprintf "attr-%d-%d" d i in
+            let stats =
+              obj_field "stats"
+                (body_json
+                   (Router.handle router
+                      (make_request ~headers:[ ("x-request-id", id) ] body)))
+            in
+            let want = (int_field "cache_hits" stats, int_field "cache_misses" stats) in
+            (* Looked up at once: a domain's recorder stripe keeps only its
+               newest events. *)
+            match Recorder.find id with
+            | None -> Some (id ^ ": no wide event")
+            | Some ev ->
+                let got = (ev.Recorder.cache_hits, ev.Recorder.cache_misses) in
+                if got = want then None
+                else
+                  Some
+                    (Printf.sprintf "%s: event %d/%d, reply %d/%d" id (fst got)
+                       (snd got) (fst want) (snd want)))
+        |> List.filter_map Fun.id
+      in
+      let clients = List.init 2 (fun d -> Domain.spawn (client d)) in
+      Alcotest.(check (list string)) "every event equals its reply" []
+        (List.concat_map Domain.join clients))
+
 (* --- document CRUD over /corpus/docs --- *)
 
 module Fault = Xfrag_fault.Fault
@@ -1028,6 +1067,8 @@ let () =
             test_debug_endpoints_are_get_only;
           Alcotest.test_case "fault 500 in recorder" `Quick
             test_fault_500_lands_in_recorder;
+          Alcotest.test_case "concurrent cache attribution" `Quick
+            test_concurrent_cache_attribution;
         ] );
       ( "corpus crud",
         [

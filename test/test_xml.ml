@@ -71,6 +71,13 @@ let test_cdata () =
   let r = root "<a><![CDATA[<not> &parsed;]]></a>" in
   Alcotest.(check string) "cdata text" "<not> &parsed;" (Dom.text_content r)
 
+let test_cdata_merges_with_neighbours () =
+  match (root "<a>one<![CDATA[ two ]]>three</a>").Dom.children with
+  | [ Dom.Text "one two three" ] -> ()
+  | children ->
+      Alcotest.failf "expected one merged text node, got %d children"
+        (List.length children)
+
 let test_whitespace_between_elements_preserved_as_text () =
   let r = root "<a>\n  <b/>\n</a>" in
   (* Text nodes exist; immediate_text keeps them verbatim. *)
@@ -114,7 +121,9 @@ let test_utf8_of_code_point () =
 (* --- well-formedness errors --- *)
 
 let test_malformed () =
+  check_parse_error "empty input" "";
   check_parse_error "mismatched tags" "<a><b></a></b>";
+  check_parse_error "inner element unclosed" "<a><b></a>";
   check_parse_error "unclosed" "<a><b></b>";
   check_parse_error "two roots" "<a/><b/>";
   check_parse_error "no root" "   ";
@@ -225,6 +234,8 @@ let () =
           Alcotest.test_case "comments dropped" `Quick test_comments_dropped_by_default;
           Alcotest.test_case "comments kept" `Quick test_comments_kept_with_option;
           Alcotest.test_case "cdata" `Quick test_cdata;
+          Alcotest.test_case "cdata merges with neighbours" `Quick
+            test_cdata_merges_with_neighbours;
           Alcotest.test_case "whitespace text" `Quick test_whitespace_between_elements_preserved_as_text;
           Alcotest.test_case "empty element forms" `Quick test_empty_element_variants;
           Alcotest.test_case "utf8 passthrough" `Quick test_utf8_passthrough;
