@@ -1,33 +1,20 @@
 module Doctree = Xfrag_doctree.Doctree
 module Inverted_index = Xfrag_doctree.Inverted_index
-module Tokenizer = Xfrag_doctree.Tokenizer
 module Fragment = Xfrag_core.Fragment
 module Frag_set = Xfrag_core.Frag_set
 
 type scored = { fragment : Fragment.t; score : float }
 
 let idf (ctx : Xfrag_core.Context.t) keyword =
-  let df = Inverted_index.node_count ctx.index keyword in
-  if df = 0 then 0.0
-  else begin
-    let n = float_of_int (Doctree.size ctx.tree) in
-    Float.log ((n +. 1.0) /. (float_of_int df +. 1.0))
-  end
+  Inverted_index.idf ~nodes:(Doctree.size ctx.tree)
+    ~df:(Inverted_index.node_count ctx.index keyword)
 
-let term_frequency (ctx : Xfrag_core.Context.t) f keyword =
-  let k = Tokenizer.normalize keyword in
-  Xfrag_util.Int_sorted.fold
-    (fun acc n ->
-      let tokens =
-        Tokenizer.tokenize (Doctree.label ctx.tree n ^ " " ^ Doctree.text ctx.tree n)
-      in
-      acc + List.length (List.filter (String.equal k) tokens))
-    0 (Fragment.nodes f)
-
-let score ctx ~keywords f =
+let score (ctx : Xfrag_core.Context.t) ~keywords f =
   let raw =
     List.fold_left
-      (fun acc k -> acc +. (float_of_int (term_frequency ctx f k) *. idf ctx k))
+      (fun acc k ->
+        let tf = Inverted_index.term_frequency ctx.index k (Fragment.nodes f) in
+        acc +. (float_of_int tf *. idf ctx k))
       0.0 keywords
   in
   raw /. (1.0 +. Float.log (float_of_int (Fragment.size f)))

@@ -5,11 +5,12 @@
 type scored = { fragment : Xfrag_core.Fragment.t; score : float }
 
 val idf : Xfrag_core.Context.t -> string -> float
-(** log((N+1) / (df+1)) over nodes; 0 for unseen keywords. *)
+(** {!Xfrag_doctree.Inverted_index.idf}: log((N+1) / (df+1)) over nodes. *)
 
 val score : Xfrag_core.Context.t -> keywords:string list -> Xfrag_core.Fragment.t -> float
-(** Σ_k tf(f, k) · idf(k) / (1 + log size(f)) — term frequency over the
-    fragment's member nodes with a mild length normalization. *)
+(** Σ_k tf(f, k) · idf(k) / (1 + log size(f)) — the term frequencies of
+    the fragment's member nodes, read from the document's index, with a
+    mild length normalization. *)
 
 val rank :
   Xfrag_core.Context.t -> keywords:string list -> Xfrag_core.Frag_set.t -> scored list

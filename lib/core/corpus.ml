@@ -78,7 +78,8 @@ let remove t ~name =
       match t.cindex with
       | None -> None (* a dropped index stays dropped; full scans *)
       | Some idx -> (
-          (* Incremental retract first (O(vocabulary), no re-tokenizing);
+          (* Incremental retract first (one pass over the corpus
+             vocabulary, O(corpus vocabulary), no re-tokenizing);
              if it fails — the armed [index.retract] failpoint, or any
              real defect — fall back to rebuilding from scratch rather
              than serving an index that may still list the dead

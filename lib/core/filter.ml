@@ -55,9 +55,10 @@ let rec evaluate (ctx : Context.t) p f =
       (* Member nodes containing each keyword must exist, and all of them
          must sit at one common depth relative to the fragment root. *)
       let depths k =
+        let posting = Inverted_index.lookup ctx.index k in
         Xfrag_util.Int_sorted.fold
           (fun acc n ->
-            if Inverted_index.node_contains ctx.index n k then
+            if Xfrag_util.Int_sorted.mem n posting then
               Fragment.depth_of ctx f n :: acc
             else acc)
           [] (Fragment.nodes f)

@@ -75,7 +75,8 @@ let depth_of (ctx : Context.t) f n =
   Doctree.depth ctx.tree n - Doctree.depth ctx.tree (root f)
 
 let contains_keyword (ctx : Context.t) f keyword =
-  Int_sorted.exists (fun n -> Inverted_index.node_contains ctx.index n keyword) f
+  let posting = Inverted_index.lookup ctx.index keyword in
+  Int_sorted.exists (fun n -> Int_sorted.mem n posting) f
 
 let to_xml (ctx : Context.t) f =
   let module Dom = Xfrag_xml.Xml_dom in

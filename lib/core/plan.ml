@@ -34,15 +34,16 @@ let rec keywords = function
   | p -> List.concat_map keywords (inputs p)
 
 let strict_leaf (ctx : Context.t) keywords answers =
+  let postings =
+    List.map (Xfrag_doctree.Inverted_index.lookup ctx.index) keywords
+  in
   Frag_set.filter
     (fun f ->
       let leaves = Fragment.leaves ctx f in
       List.for_all
-        (fun k ->
-          List.exists
-            (fun n -> Xfrag_doctree.Inverted_index.node_contains ctx.index n k)
-            leaves)
-        keywords)
+        (fun posting ->
+          List.exists (fun n -> Xfrag_util.Int_sorted.mem n posting) leaves)
+        postings)
     answers
 
 let run ?stats ?cache ?(trace = Trace.disabled) ?(deadline = Deadline.none)

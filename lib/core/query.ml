@@ -13,7 +13,8 @@ let make ?(filter = Filter.True) keywords =
   { keywords; filter }
 
 let keyword_in_nodes ctx nodes k =
-  List.exists (fun n -> Inverted_index.node_contains ctx.Context.index n k) nodes
+  let posting = Inverted_index.lookup ctx.Context.index k in
+  List.exists (fun n -> Xfrag_util.Int_sorted.mem n posting) nodes
 
 let matches ctx q f =
   List.for_all

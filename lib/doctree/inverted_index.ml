@@ -1,82 +1,85 @@
 module Int_sorted = Xfrag_util.Int_sorted
 
+type posting = { nodes : Int_sorted.t; tfs : int array }
+
 type t = {
   tree : Doctree.t;
   options : Tokenizer.options;
-  postings : (string, Int_sorted.t) Hashtbl.t;
-  occurrences : (string, int) Hashtbl.t;
-  memberships : (string * int, unit) Hashtbl.t;
+  postings : (string, posting) Hashtbl.t;
 }
 
 let build ?(options = Tokenizer.default_options) tree =
-  let acc : (string, int list ref) Hashtbl.t = Hashtbl.create 1024 in
-  let occurrences = Hashtbl.create 1024 in
-  let memberships = Hashtbl.create 4096 in
+  (* Nodes are visited in increasing id order, so each keyword's list
+     holds its current node's (node, tf) entry at its head, and comes
+     out sorted once reversed. *)
+  let acc : (string, (int * int) list ref) Hashtbl.t = Hashtbl.create 1024 in
   Doctree.iter
     (fun n ->
       (* Per the paper, tag names are searchable keywords too: index the
          label alongside the node text. *)
-      let tokens =
-        Tokenizer.tokenize ~options
-          (Doctree.label tree n ^ " " ^ Doctree.text tree n)
-      in
-      List.iter
-        (fun k ->
-          Hashtbl.replace occurrences k
-            (1 + Option.value (Hashtbl.find_opt occurrences k) ~default:0))
-        tokens;
-      let keywords = List.sort_uniq String.compare tokens in
-      List.iter
-        (fun k ->
-          Hashtbl.replace memberships (k, n) ();
-          match Hashtbl.find_opt acc k with
-          | Some l -> l := n :: !l
-          | None -> Hashtbl.add acc k (ref [ n ]))
-        keywords)
+      Tokenizer.tokenize ~options
+        (Doctree.label tree n ^ " " ^ Doctree.text tree n)
+      |> List.iter (fun k ->
+             match Hashtbl.find_opt acc k with
+             | Some ({ contents = (m, tf) :: rest } as l) when m = n ->
+                 l := (n, tf + 1) :: rest
+             | Some l -> l := (n, 1) :: !l
+             | None -> Hashtbl.add acc k (ref [ (n, 1) ])))
     tree;
   let postings = Hashtbl.create (Hashtbl.length acc) in
-  Hashtbl.iter (fun k l -> Hashtbl.replace postings k (Int_sorted.of_list !l)) acc;
-  { tree; options; postings; occurrences; memberships }
+  Hashtbl.iter
+    (fun k l ->
+      let entries = Array.of_list (List.rev !l) in
+      Hashtbl.replace postings k
+        { nodes = Array.map fst entries; tfs = Array.map snd entries })
+    acc;
+  { tree; options; postings }
 
 let tree t = t.tree
 
 let options t = t.options
 
-(* Apply the index's own tokenization to the probe keyword, so stemming
-   (when enabled at build time) is symmetric between text and queries. *)
-let normalize_probe t keyword =
-  match Tokenizer.tokenize ~options:t.options keyword with
-  | [ tok ] -> tok
-  | _ -> Tokenizer.normalize keyword
+let no_posting = { nodes = Int_sorted.empty; tfs = [||] }
 
-let lookup t keyword =
-  match Hashtbl.find_opt t.postings (normalize_probe t keyword) with
-  | Some s -> s
-  | None -> Int_sorted.empty
+let posting t keyword =
+  match
+    Hashtbl.find_opt t.postings
+      (Tokenizer.normalize_probe ~options:t.options keyword)
+  with
+  | Some p -> p
+  | None -> no_posting
+
+let lookup t keyword = (posting t keyword).nodes
 
 let node_count t keyword = Int_sorted.cardinal (lookup t keyword)
 
-let occurrence_count t keyword =
-  Option.value
-    (Hashtbl.find_opt t.occurrences (normalize_probe t keyword))
-    ~default:0
+let node_contains t n keyword = Int_sorted.mem n (lookup t keyword)
 
-let node_contains t n keyword =
-  Hashtbl.mem t.memberships (normalize_probe t keyword, n)
+let term_frequency t keyword nodes =
+  let p = posting t keyword in
+  Int_sorted.fold
+    (fun acc n ->
+      let i = Int_sorted.position n p.nodes in
+      if i < 0 then acc else acc + p.tfs.(i))
+    0 nodes
+
+let idf ~nodes ~df =
+  if df = 0 then 0.0
+  else Float.log ((float_of_int nodes +. 1.0) /. (float_of_int df +. 1.0))
+
+let fold f t init = Hashtbl.fold f t.postings init
 
 let stats t =
-  Hashtbl.fold
-    (fun k s acc ->
-      let occ = Option.value (Hashtbl.find_opt t.occurrences k) ~default:0 in
-      (k, Int_sorted.cardinal s, occ) :: acc)
-    t.postings []
+  fold
+    (fun k p acc ->
+      (k, Int_sorted.cardinal p.nodes, Array.fold_left ( + ) 0 p.tfs) :: acc)
+    t []
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
 let vocabulary t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.postings []
-  |> List.sort String.compare
+  fold (fun k _ acc -> k :: acc) t [] |> List.sort String.compare
 
 let vocabulary_size t = Hashtbl.length t.postings
 
 let total_postings t =
-  Hashtbl.fold (fun _ s acc -> acc + Int_sorted.cardinal s) t.postings 0
+  fold (fun _ p acc -> acc + Int_sorted.cardinal p.nodes) t 0

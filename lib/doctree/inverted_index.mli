@@ -5,41 +5,54 @@
     set of single-node fragments whose [keywords(n)] contains [k].
 
     The paper performs "no preprocessing of data" beyond this (§6); the
-    index is the standard keyword-lookup structure every strategy shares. *)
+    index is the standard keyword-lookup structure every strategy shares.
+    It is the one copy of [keywords(n)]: one hash table from normalized
+    keyword to its {!posting}, read by selection, containment, the
+    tf·idf scorer and the corpus index alike. *)
 
 type t
+
+type posting = private {
+  nodes : Xfrag_util.Int_sorted.t;  (** ids of the nodes holding the keyword *)
+  tfs : int array;  (** [tfs.(i)]: occurrences in [nodes.(i)]'s label, text *)
+}
 
 val build : ?options:Tokenizer.options -> Doctree.t -> t
 
 val tree : t -> Doctree.t
 
 val options : t -> Tokenizer.options
-(** The tokenizer options the index was built with (what
-    {!normalize_probe}-style query normalization must mirror). *)
+(** The tokenizer options the index was built with. *)
 
 val lookup : t -> string -> Xfrag_util.Int_sorted.t
 (** Nodes whose keywords contain the probe keyword; empty set if the
-    keyword does not occur.  The probe is normalized with the same
-    tokenizer options the index was built with, so stemming (when
-    enabled) applies to queries symmetrically. *)
+    keyword does not occur.  The probe is normalized by
+    {!Tokenizer.normalize_probe} under the index's options, so stemming
+    (when enabled) applies to queries symmetrically.  To test many nodes
+    against one keyword, look it up once and use [Int_sorted.mem]. *)
 
 val node_count : t -> string -> int
 (** Posting-list length, i.e. document frequency in nodes. *)
 
-val occurrence_count : t -> string -> int
-(** Total token occurrences of the keyword across the whole document
-    (label and text, every repetition counted).  This dominates the
-    per-fragment term frequency of any fragment of the document, which
-    is what makes it usable as a score upper bound at corpus scale. *)
-
 val node_contains : t -> Doctree.node -> string -> bool
-(** Does this node's own text contain the keyword? O(1) expected. *)
+(** Does this node's label or text contain the keyword?  A binary search
+    in the posting, O(log df). *)
+
+val term_frequency : t -> string -> Xfrag_util.Int_sorted.t -> int
+(** Σ of the given nodes' term frequencies for the probe keyword
+    (normalized as in {!lookup}). *)
+
+val idf : nodes:int -> df:int -> float
+(** log((nodes + 1) / (df + 1)), 0 when [df = 0]: the one idf of the
+    scorer and of the corpus score bounds.  Takes counts, not keywords. *)
+
+val fold : (string -> posting -> 'a -> 'a) -> t -> 'a -> 'a
+(** Every keyword as stored (already normalized) with its posting. *)
 
 val stats : t -> (string * int * int) list
-(** [(keyword, node_count, occurrence_count)] for every indexed keyword,
-    sorted by keyword.  Keywords are returned exactly as stored (already
-    normalized), with no probe re-normalization — the walk a corpus-wide
-    index builds its posting lists from. *)
+(** [(keyword, node_count, occurrences)] for every indexed keyword as
+    stored, sorted by keyword; [occurrences] sums the posting's term
+    frequencies.  The walk a corpus-wide index builds from. *)
 
 val vocabulary : t -> string list
 (** All indexed keywords, sorted. *)

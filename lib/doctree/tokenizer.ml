@@ -45,10 +45,13 @@ let tokenize ?(options = default_options) text =
   done;
   List.rev !out
 
+let normalize_probe ?(options = default_options) keyword =
+  match tokenize ~options keyword with
+  | [ tok ] -> tok
+  | _ -> normalize keyword
+
 let keyword_set ?options text =
   List.sort_uniq String.compare (tokenize ?options text)
 
-let contains_keyword ?(options = default_options) text ~keyword =
-  let k = normalize keyword in
-  let k = if options.stem then Stemmer.stem k else k in
-  List.exists (String.equal k) (tokenize ~options text)
+let contains_keyword ?options text ~keyword =
+  List.mem (normalize_probe ?options keyword) (tokenize ?options text)

@@ -16,12 +16,17 @@ val default_options : options
 val tokenize : ?options:options -> string -> string list
 (** Tokens in occurrence order, duplicates preserved. *)
 
+val normalize_probe : ?options:options -> string -> string
+(** A query keyword as an index built with [options] stores it: its one
+    token if it has exactly one, else {!normalize}d.  Not idempotent
+    under stemming, so never apply it to stored keys. *)
+
 val keyword_set : ?options:options -> string -> string list
 (** Sorted, de-duplicated tokens. *)
 
 val contains_keyword : ?options:options -> string -> keyword:string -> bool
 (** Does the text contain the keyword as a whole token?  The keyword is
-    normalized (lower-cased) before comparison. *)
+    normalized by {!normalize_probe} before comparison. *)
 
 val normalize : string -> string
 (** Lower-case a keyword the same way tokenization does. *)

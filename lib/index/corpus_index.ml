@@ -29,15 +29,11 @@ let add_document t ~name idx =
   let stats = Inverted_index.stats idx in
   let postings, keyword_count =
     List.fold_left
-      (fun (acc, count) (k, df_nodes, occurrences) ->
-        (* Mirror [Ranking.idf]: log ((N + 1) / (df + 1)) over document
-           nodes.  [occurrences x idf] bounds any fragment's tf.idf
-           contribution because fragment tf <= document occurrences and
-           the length penalty divides by >= 1. *)
-        let idf =
-          Float.log
-            ((float_of_int nodes +. 1.0) /. (float_of_int df_nodes +. 1.0))
-        in
+      (fun (acc, count) (k, df, occurrences) ->
+        (* [occurrences x idf] bounds any fragment's tf.idf contribution
+           because fragment tf <= document occurrences and the length
+           penalty divides by >= 1. *)
+        let idf = Inverted_index.idf ~nodes ~df in
         let p =
           { term_count = occurrences; max_weight = float_of_int occurrences *. idf }
         in
@@ -79,16 +75,12 @@ let vocabulary_size t = String_map.cardinal t.postings
 let total_postings t =
   String_map.fold (fun _ info acc -> acc + info.doc_keywords) t.docs 0
 
-(* Same probe normalization as [Inverted_index.normalize_probe], using
-   the options the index was built with. *)
-let normalize_probe t keyword =
-  let options = Option.value t.options ~default:Tokenizer.default_options in
-  match Tokenizer.tokenize ~options keyword with
-  | [ tok ] -> tok
-  | _ -> Tokenizer.normalize keyword
-
 let posting_map t keyword =
-  match String_map.find_opt (normalize_probe t keyword) t.postings with
+  match
+    String_map.find_opt
+      (Tokenizer.normalize_probe ?options:t.options keyword)
+      t.postings
+  with
   | Some m -> m
   | None -> String_map.empty
 

@@ -13,6 +13,7 @@
     {v max_term_weight(k, d) = occurrences(d, k) x idf_d(k)
        idf_d(k)             = log ((size(d) + 1) / (df_nodes(d, k) + 1)) v}
 
+    with [idf_d] the scorer's own {!Xfrag_doctree.Inverted_index.idf}.
     This dominates [Ranking.score]'s per-keyword contribution because a
     fragment's term frequency never exceeds the document's total
     occurrence count and the fragment-length penalty divides by at
@@ -25,8 +26,9 @@
 
     Keywords are stored exactly as the per-document index normalized
     them (same {!Xfrag_doctree.Tokenizer} options, including stemming),
-    and probes are normalized with those same options, so index-time
-    and query-time normalization cannot drift.
+    and probes are normalized by the same [Tokenizer.normalize_probe]
+    under those options, so index-time and query-time normalization
+    cannot drift.
 
     The structure is functional (persistent maps) to match
     [Corpus.add]'s functional contract, and serializable with the same
@@ -58,7 +60,8 @@ val remove_document : t -> string -> t
     mirroring [add_document]'s [index.build] site; callers are expected
     to fall back to a full rebuild — and from there to an unindexed
     corpus — when it raises.  The hook incremental corpus maintenance
-    builds on. *)
+    builds on.  O(corpus vocabulary): it walks every keyword, but
+    re-tokenizes nothing. *)
 
 val options : t -> Xfrag_doctree.Tokenizer.options option
 (** Probe-normalization options, fixed by the first added document;

@@ -1,15 +1,13 @@
-(* Always-on flight recorder: a striped ring buffer of wide events,
-   one JSON-able record per request.
+(* Always-on flight recorder: a ring buffer of wide events, one
+   JSON-able record per request.
 
    Hot path (record): one atomic load to check enablement, one
-   fetch-and-add on the global sequence, one fetch-and-add on the
-   writing stripe's cursor, one pointer store into the slot array —
-   no locks, no allocation beyond the event record itself.  Stripes
-   are picked by domain id so concurrent writers rarely share a
-   cursor cache line; a slot store is a single word write under the
-   OCaml memory model, so readers never observe a torn event (they
-   may observe a slightly stale ring, which is fine for debugging).
-   Readers merge all stripes and sort by the global sequence. *)
+   fetch-and-add on the global sequence, which also picks the slot, and
+   one pointer store into the slot array — no locks, no allocation
+   beyond the event record itself.  A slot store is a single word write
+   under the OCaml memory model, so readers never observe a torn event
+   (they may observe a slightly stale ring, which is fine for
+   debugging).  Readers sort the slots by sequence. *)
 
 type event = {
   seq : int;
@@ -33,10 +31,6 @@ type event = {
   site : string;
 }
 
-let n_stripes = 8
-
-type stripe = { slots : event option array; cursor : int Atomic.t }
-
 let default_capacity = 256
 
 let env_capacity () =
@@ -54,14 +48,8 @@ let requested = env_capacity ()
 
 let enabled_flag = Atomic.make (requested <> None)
 
-(* Per-stripe capacity: total capacity split across stripes, >= 1. *)
-let stripe_capacity =
-  let cap = match requested with Some n -> n | None -> default_capacity in
-  max 1 ((cap + n_stripes - 1) / n_stripes)
-
-let stripes =
-  Array.init n_stripes (fun _ ->
-      { slots = Array.make stripe_capacity None; cursor = Atomic.make 0 })
+let slots =
+  Array.make (Option.value requested ~default:default_capacity) None
 
 let seq_counter = Atomic.make 0
 
@@ -69,14 +57,10 @@ let enabled () = Atomic.get enabled_flag
 
 let set_enabled b = Atomic.set enabled_flag b
 
-let capacity () = n_stripes * stripe_capacity
+let capacity () = Array.length slots
 
 let clear () =
-  Array.iter
-    (fun s ->
-      Array.fill s.slots 0 (Array.length s.slots) None;
-      Atomic.set s.cursor 0)
-    stripes;
+  Array.fill slots 0 (Array.length slots) None;
   Atomic.set seq_counter 0
 
 let record ?(endpoint = "") ?(strategy = "") ?(shards = 0) ?(queue_ns = 0)
@@ -108,20 +92,14 @@ let record ?(endpoint = "") ?(strategy = "") ?(shards = 0) ?(queue_ns = 0)
         site;
       }
     in
-    let s = stripes.((Domain.self () :> int) mod n_stripes) in
-    let i = Atomic.fetch_and_add s.cursor 1 in
-    s.slots.(i mod stripe_capacity) <- Some ev
+    slots.(seq mod Array.length slots) <- Some ev
   end
 
 let events () =
-  let out = ref [] in
-  Array.iter
-    (fun s ->
-      Array.iter
-        (function Some ev -> out := ev :: !out | None -> ())
-        s.slots)
-    stripes;
-  List.sort (fun a b -> compare a.seq b.seq) !out
+  Array.fold_left
+    (fun acc slot -> match slot with Some ev -> ev :: acc | None -> acc)
+    [] slots
+  |> List.sort (fun a b -> compare a.seq b.seq)
 
 let last n =
   let evs = events () in

@@ -1,14 +1,14 @@
-(** Always-on flight recorder: a fixed-size striped ring buffer of
+(** Always-on flight recorder: a fixed-size ring buffer of
     {e wide events} — one JSON-able record per request, overwritten
     oldest-first, readable after the fact without any pre-arming.
 
     The write path is lock-free: an atomic enablement check, a
-    fetch-and-add on the global sequence, a fetch-and-add on the
-    writing stripe's cursor (stripes are picked by domain id so
-    concurrent server workers rarely contend), and a single word
-    store of the event pointer — readers can never observe a torn
-    event, only a slightly stale ring.  Readers merge every stripe
-    and order by the global sequence.
+    fetch-and-add on the global sequence, whose value modulo the
+    capacity picks the slot, and a single word store of the event
+    pointer — readers can never observe a torn event, only a slightly
+    stale ring.  Readers order the retained events by sequence, so the
+    ring holds the newest [capacity] events whichever domains wrote
+    them.
 
     Capacity and enablement come from [XFRAG_RECORDER] at process
     start: unset → enabled with the default capacity (256); a positive
@@ -47,7 +47,7 @@ val enabled : unit -> bool
 val set_enabled : bool -> unit
 
 val capacity : unit -> int
-(** Total slots across stripes (≥ the configured capacity). *)
+(** Ring slots: the configured capacity. *)
 
 val record :
   ?endpoint:string ->

@@ -627,8 +627,7 @@ let doc_stats_json name ctx =
       ("doc", Json.String name);
       ("nodes", Json.Int (Context.size ctx));
       ( "keywords",
-        Json.Int
-          (List.length (Xfrag_doctree.Inverted_index.stats ctx.Context.index))
+        Json.Int (Xfrag_doctree.Inverted_index.vocabulary_size ctx.Context.index)
       );
       ("generation", Json.Int ctx.Context.generation);
     ]

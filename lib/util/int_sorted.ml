@@ -39,17 +39,19 @@ let max_elt a =
   if Array.length a = 0 then invalid_arg "Int_sorted.max_elt: empty"
   else a.(Array.length a - 1)
 
-let mem x a =
+let position x a =
   let lo = ref 0 and hi = ref (Array.length a - 1) in
-  let found = ref false in
-  while not !found && !lo <= !hi do
+  let found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
     let v = a.(mid) in
-    if v = x then found := true
+    if v = x then found := mid
     else if v < x then lo := mid + 1
     else hi := mid - 1
   done;
   !found
+
+let mem x a = position x a >= 0
 
 let equal a b =
   let n = Array.length a in

@@ -30,6 +30,9 @@ val min_elt : t -> int
 val max_elt : t -> int
 (** Largest element.  @raise Invalid_argument on the empty set. *)
 
+val position : int -> t -> int
+(** Index of the element in the array, or [-1]; O(log n). *)
+
 val mem : int -> t -> bool
 (** Binary search; O(log n). *)
 

@@ -15,6 +15,7 @@ module Ranking = Xfrag_baselines.Ranking
 module Km = Xfrag_baselines.Keyword_matches
 module Paper = Xfrag_workload.Paper_doc
 module Doctree = Xfrag_doctree.Doctree
+module Inverted_index = Xfrag_doctree.Inverted_index
 
 let ctx = lazy (Paper.figure1_context ())
 
@@ -202,6 +203,31 @@ let test_ranking_orders_answers () =
   let top2 = Ranking.top_k c ~keywords:q_keywords ~k:2 answers in
   Alcotest.(check int) "top_k" 2 (List.length top2)
 
+(* With a stemming index the scorer counts what the index matched: n2's
+   "optimization" matches the probe "optimizations" through their common
+   stem "optim", so the one-node fragment ⟨n2⟩ scores tf × idf, both
+   read from the index (size 1: no length penalty). *)
+let test_stemmed_index_scores () =
+  let options = { Xfrag_doctree.Tokenizer.default_options with stem = true } in
+  let c =
+    Context.of_xml_string ~options
+      "<a><p>several optimizations applied</p><q>optimization</q></a>"
+  in
+  let k = "optimizations" in
+  Alcotest.(check bool) "index matches n2" true
+    (Inverted_index.node_contains c.Context.index 2 k);
+  let tf =
+    Inverted_index.term_frequency c.Context.index k (Fragment.nodes (Fragment.singleton 2))
+  in
+  let idf =
+    Inverted_index.idf ~nodes:(Context.size c)
+      ~df:(Inverted_index.node_count c.Context.index k)
+  in
+  Alcotest.(check int) "tf" 1 tf;
+  let score = Ranking.score c ~keywords:[ k ] (Fragment.singleton 2) in
+  Alcotest.(check bool) "scores > 0" true (score > 0.);
+  Alcotest.(check (float 0.)) "tf × idf from the index" (float_of_int tf *. idf) score
+
 (* --- definitional oracles on random documents --- *)
 
 (* Naive SLCA: v is an SLCA iff v's subtree contains every keyword and
@@ -346,6 +372,7 @@ let () =
         [
           Alcotest.test_case "idf" `Quick test_idf_orders_rarity;
           Alcotest.test_case "ordering" `Quick test_ranking_orders_answers;
+          Alcotest.test_case "stemmed index scores" `Quick test_stemmed_index_scores;
         ] );
       ( "oracles",
         [

@@ -456,6 +456,124 @@ let test_vocabulary () =
   Alcotest.(check int) "size agrees" (List.length vocab) (Index.vocabulary_size idx);
   Alcotest.(check bool) "postings positive" true (Index.total_postings idx > 0)
 
+(* --- the one keyword index against a plain walk --- *)
+
+module Context = Xfrag_core.Context
+module Fragment = Xfrag_core.Fragment
+
+(* Reference tf·idf: re-tokenize every member node under the default
+   options and count the lower-cased keyword.  Under the default options
+   [Ranking.score], which reads the index, must equal it bit for bit. *)
+let retokenizing_score (ctx : Context.t) ~keywords f =
+  let idf k =
+    let df = Index.node_count ctx.index k in
+    if df = 0 then 0.0
+    else begin
+      let n = float_of_int (Doctree.size ctx.tree) in
+      Float.log ((n +. 1.0) /. (float_of_int df +. 1.0))
+    end
+  in
+  let tf k =
+    let k = Tokenizer.normalize k in
+    Int_sorted.fold
+      (fun acc n ->
+        let tokens =
+          Tokenizer.tokenize
+            (Doctree.label ctx.tree n ^ " " ^ Doctree.text ctx.tree n)
+        in
+        acc + List.length (List.filter (String.equal k) tokens))
+      0 (Fragment.nodes f)
+  in
+  let raw =
+    List.fold_left
+      (fun acc k -> acc +. (float_of_int (tf k) *. idf k))
+      0.0 keywords
+  in
+  raw /. (1.0 +. Float.log (float_of_int (Fragment.size f)))
+
+(* keywords(n) is the token list of n's label and text, so each stored
+   keyword's posting must list exactly the nodes whose tokens hold it,
+   each with its token count, and [stats] must total those counts. *)
+let index_matches_walk ~options tree =
+  let idx = Index.build ~options tree in
+  let nodes = Doctree.all_nodes tree in
+  let tokens =
+    Array.init (Doctree.size tree) (fun n ->
+        Tokenizer.tokenize ~options
+          (Doctree.label tree n ^ " " ^ Doctree.text tree n))
+  in
+  let count n k = List.length (List.filter (String.equal k) tokens.(n)) in
+  let stats = Index.stats idx in
+  Index.vocabulary idx
+  = List.sort_uniq String.compare (List.concat (Array.to_list tokens))
+  && Index.fold
+       (fun k (p : Index.posting) ok ->
+         let in_posting n =
+           let i = Int_sorted.position n p.nodes in
+           if i < 0 then count n k = 0 else count n k = p.tfs.(i)
+         in
+         let occurrences = List.fold_left (fun acc n -> acc + count n k) 0 nodes in
+         ok
+         && Array.length p.tfs = Int_sorted.cardinal p.nodes
+         && List.for_all in_posting nodes
+         && List.mem (k, Int_sorted.cardinal p.nodes, occurrences) stats)
+       idx true
+
+let scores_match_retokenizing tree =
+  let ctx = Context.create tree in
+  let queries =
+    [ "optimization"; "the" ]
+    :: List.map
+         (fun q -> q.Xfrag_core.Query.keywords)
+         (Xfrag_workload.Querygen.queries ~seed:(Doctree.size tree) ~count:3
+            { keyword_count = 2; min_postings = 2; max_postings = 8 }
+            ctx)
+  in
+  List.for_all
+    (fun keywords ->
+      Xfrag_core.Frag_set.for_all
+        (fun f ->
+          Int64.equal
+            (Int64.bits_of_float
+               (Xfrag_baselines.Ranking.score ctx ~keywords f))
+            (Int64.bits_of_float (retokenizing_score ctx ~keywords f)))
+        (Xfrag_core.Eval.answers ctx
+           (Xfrag_core.Query.make
+              ~filter:(Xfrag_core.Filter.Size_at_most 3)
+              keywords)))
+    queries
+
+(* Docgen text is all "termNNNN"; the planted words give the stemmer
+   ("agreed" stems to "agre", which stems again to "agr", so stored keys
+   are never re-probed), the stopword list and the length floor
+   something to act on. *)
+let index_reference_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"one index = reference walk" ~count:20
+       QCheck2.Gen.(1 -- 10_000)
+       (fun seed ->
+         let tree =
+           Xfrag_workload.Docgen.with_planted_keywords
+             { Xfrag_workload.Docgen.default with seed; sections = 2 }
+             ~plant:
+               [
+                 ("optimization", 3); ("Optimizations", 2); ("agreed", 2);
+                 ("the", 3); ("of", 2); ("a", 2); ("ab", 2);
+               ]
+         in
+         List.for_all
+           (fun options -> index_matches_walk ~options tree)
+           [
+             Tokenizer.default_options;
+             { Tokenizer.default_options with stem = true };
+             {
+               Tokenizer.default_options with
+               stopwords = true;
+               min_length = 3;
+             };
+           ]
+         && scores_match_retokenizing tree))
+
 (* --- stats --- *)
 
 let test_stats () =
@@ -526,6 +644,7 @@ let () =
           Alcotest.test_case "case insensitive" `Quick test_index_case_insensitive;
           Alcotest.test_case "node_contains" `Quick test_node_contains;
           Alcotest.test_case "vocabulary" `Quick test_vocabulary;
+          index_reference_prop;
         ] );
       ("stats", [ Alcotest.test_case "compute" `Quick test_stats ]);
     ]

@@ -12,6 +12,10 @@ module Loader = Xfrag_doctree.Loader
 module Corpus = Xfrag_core.Corpus
 module Exec = Xfrag_core.Exec
 module Fragment = Xfrag_core.Fragment
+module Context = Xfrag_core.Context
+module Eval = Xfrag_core.Eval
+module Query = Xfrag_core.Query
+module Frag_set = Xfrag_core.Frag_set
 module Ranking = Xfrag_baselines.Ranking
 module Docgen = Xfrag_workload.Docgen
 module Fault = Xfrag_fault.Fault
@@ -106,7 +110,42 @@ let test_score_bound_is_conservative () =
             true
             (bound h.Corpus.doc >= score))
         o.Corpus.hits)
-    [ [ "mangrove" ]; [ "estuary" ]; [ "mangrove"; "estuary" ] ]
+    [ [ "mangrove" ]; [ "estuary" ]; [ "mangrove"; "estuary" ] ];
+  (* The same invariant over stemming indexes folded straight through
+     [Corpus_index.add_document]: inflections share their stem's
+     posting, in the scorer and in the bound alike. *)
+  let options = { Xfrag_doctree.Tokenizer.default_options with stem = true } in
+  let contexts =
+    List.map
+      (fun (name, tree) -> (name, Context.create ~options tree))
+      [
+        ("a.xml", doc 1 [ ("mangroves", 2); ("mangrove", 1); ("estuaries", 3) ]);
+        ("b.xml", doc 2 [ ("mangrove", 4); ("estuary", 2) ]);
+        ("c.xml", doc 3 [ ("estuary", 1); ("estuaries", 1) ]);
+      ]
+  in
+  let idx =
+    List.fold_left
+      (fun idx (name, ctx) -> Corpus_index.add_document idx ~name ctx.Context.index)
+      Corpus_index.empty contexts
+  in
+  let scored = ref 0 in
+  List.iter
+    (fun keywords ->
+      List.iter
+        (fun (name, ctx) ->
+          let bound = Corpus_index.score_bound idx ~doc:name ~keywords in
+          Frag_set.iter
+            (fun f ->
+              let score = Ranking.score ctx ~keywords f in
+              if score > 0. then incr scored;
+              Alcotest.(check bool)
+                (Printf.sprintf "stemmed bound(%s) >= score %g" name score)
+                true (bound >= score))
+            (Eval.answers ctx (Query.make keywords)))
+        contexts)
+    [ [ "mangrove" ]; [ "estuaries" ]; [ "mangroves"; "estuary" ] ];
+  Alcotest.(check bool) "stemmed answers score" true (!scored > 0)
 
 let test_serialization_roundtrip () =
   let idx = build_index () in

@@ -288,6 +288,25 @@ let test_recorder_overwrites_oldest () =
       Alcotest.(check (option string)) "oldest overwritten" None
         (Option.map (fun e -> e.Recorder.id) (Recorder.find "e1")))
 
+(* One ring for every domain: a single domain's writes fill all
+   [capacity] slots (256 unless XFRAG_RECORDER sets another size), and
+   once it wraps the ring holds exactly the newest [capacity] events. *)
+let test_recorder_keeps_newest_capacity () =
+  with_recorder (fun () ->
+      let cap = Recorder.capacity () in
+      List.iter
+        (fun n ->
+          Recorder.clear ();
+          for i = 0 to n - 1 do
+            Recorder.record ~id:(Printf.sprintf "e%d" i) ~outcome:"ok" ()
+          done;
+          let first = max 0 (n - cap) in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%d records keep seq %d..%d" n first (n - 1))
+            (List.init (n - first) (fun i -> first + i))
+            (List.map (fun e -> e.Recorder.seq) (Recorder.events ())))
+        [ 100; 300 ])
+
 let test_recorder_multi_domain () =
   with_recorder (fun () ->
       let writers = 4 and per_writer = 50 in
@@ -309,8 +328,8 @@ let test_recorder_multi_domain () =
       Alcotest.(check int) "unique seqs"
         (List.length seqs)
         (List.length (List.sort_uniq compare seqs));
-      (* ...and every writer's final event survives: it was the last
-         write into its stripe's ring. *)
+      (* ...and every writer's final event survives: the 200 writes
+         fit the ring. *)
       for w = 0 to writers - 1 do
         Alcotest.(check bool)
           (Printf.sprintf "writer %d's last event retained" w)
@@ -388,6 +407,8 @@ let () =
             test_recorder_disabled_is_noop;
           Alcotest.test_case "overwrites oldest" `Quick
             test_recorder_overwrites_oldest;
+          Alcotest.test_case "one domain keeps the newest capacity" `Quick
+            test_recorder_keeps_newest_capacity;
           Alcotest.test_case "multi-domain writers" `Quick
             test_recorder_multi_domain;
         ] );
