@@ -269,22 +269,7 @@ let f3 () =
       in
       Printf.printf "%-10d %-12s %d\n" (Frag_set.cardinal set) (pp_ns ns)
         stats.Op_stats.fragment_joins)
-    [ 4; 8; 16; 32; 64 ];
-  (* Sequential vs domain-parallel pairwise join on a larger operand. *)
-  let nodes = Array.init 160 (fun _ -> random_node ()) in
-  let set = Frag_set.of_list (Array.to_list (Array.map Fragment.singleton nodes)) in
-  Printf.printf "\nparallel pairwise join (|F| = %d, %d domains available):\n"
-    (Frag_set.cardinal set)
-    (Domain.recommended_domain_count ());
-  List.iter
-    (fun domains ->
-      let ns =
-        time_ns
-          (Printf.sprintf "par-%d" domains)
-          (fun () -> ignore (Join.pairwise_parallel ~domains ctx set set))
-      in
-      Printf.printf "  %d domain(s): %s\n" domains (pp_ns ns))
-    [ 1; 2; 4 ]
+    [ 4; 8; 16; 32; 64 ]
 
 (* --- F4: fragment set reduce --------------------------------------------- *)
 
@@ -829,8 +814,8 @@ module Join_cache = Xfrag_core.Join_cache
 let c1 () =
   header
     "C1: join memoization cache - cached vs uncached, every strategy\n\
-     (per-document partitions, admission-gated; 'default' uses the\n\
-     strategy-aware policy, 'admit-all' forces memoization everywhere)";
+     (per-document partitions; the cache is attached to pruned\n\
+     strategies only, so unpruned rows run uncached by design)";
   let tree =
     Docgen.with_planted_keywords
       { Docgen.default with seed = 77; sections = 6 }
@@ -862,11 +847,11 @@ let c1 () =
         (pp_ns ns_off) off_stats.Op_stats.fragment_joins "-" "-" "-" "-"
         (Frag_set.cardinal baseline);
       List.iter
-        (fun (label, capacity, admission) ->
+        (fun (label, capacity) ->
           (* Instrument one cold run for the counters, then time against a
              warm shared cache — the service configuration, where repeated
              queries amortize the memo table. *)
-          let make () = Join_cache.create ~capacity ?admission () in
+          let make () = Join_cache.create ~capacity () in
           let cold_cache = make () in
           let cached cache = Exec.Request.with_cache (Some cache) (request ~strategy q) in
           let answers, stats =
@@ -896,15 +881,7 @@ let c1 () =
             stats.Op_stats.cache_hits stats.Op_stats.cache_misses
             stats.Op_stats.cache_evictions stats.Op_stats.cache_rejected
             (Frag_set.cardinal answers))
-        [
-          (* default = strategy-aware admission: unpruned strategies run
-             detached (cache == off by design), pruned ones memoize. *)
-          ("default", Join_cache.default_capacity, None);
-          ( "admit-all",
-            Join_cache.default_capacity,
-            Some Join_cache.Admission.Admit_all );
-          ("tiny", 128, Some Join_cache.Admission.Admit_all);
-        ];
+        [ ("default", Join_cache.default_capacity); ("tiny", 128) ];
       print_newline ())
     Eval.all_strategies
 

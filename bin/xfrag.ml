@@ -176,11 +176,9 @@ let join_cache_arg =
         ~doc:
           "Memoize fragment joins in a bounded LRU cache of at most \
            $(docv) entries (0 = disabled, the default).  Answers are \
-           unchanged; entries are partitioned per document and admitted \
-           per the XFRAG_CACHE_ADMIT policy (all | none | second-touch \
-           | a minimum combined operand node count; the default only \
-           attaches the cache to pruned strategies, where it always \
-           pays).  Hit/miss/eviction/rejected counters appear in \
+           unchanged.  The cache is attached only to pruned \
+           (pushdown-family) strategies, where probing it is cheaper \
+           than joining.  Hit/miss/eviction counters appear in \
            $(b,--show-stats), $(b,--metrics-out) and \
            $(b,--explain-analyze) output.")
 
@@ -735,20 +733,13 @@ let serve_join_cache_arg =
     value & opt int 4096
     & info [ "join-cache" ] ~docv:"SIZE"
         ~doc:"Shared join-memoization cache, in entries (0 = disabled).  \
-              The cache is mutex-striped across worker domains \
-              ($(b,--cache-stripes)) with per-document partitions, so \
-              /query, /explain and sharded /corpus/query all share it \
-              without cross-document invalidation.  Admission follows \
-              XFRAG_CACHE_ADMIT (all | none | second-touch | minimum \
-              combined operand nodes).")
-
-let cache_stripes_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "cache-stripes" ] ~docv:"N"
-        ~doc:"Split the shared join cache into $(docv) mutex-striped \
-              segments so worker domains contend only when they touch \
-              the same segment (0 = XFRAG_CACHE_STRIPES or 8).")
+              The cache is split into eight mutex-guarded stripes across \
+              worker domains, with per-document partitions, so /query, \
+              /explain and sharded /corpus/query all share it without \
+              cross-document invalidation.  It is attached only to \
+              pruned (pushdown-family) strategies.  On multi-document \
+              /corpus/query reads it currently costs more time and \
+              memory than it saves (README, Serving).")
 
 let serve_slow_ms_arg =
   Arg.(
@@ -767,7 +758,7 @@ let access_log_arg =
               (default: stderr).")
 
 let run_serve files host port workers queue request_timeout_ms io_timeout
-    join_cache cache_stripes shards slow_ms access_log stem verbose =
+    join_cache shards slow_ms access_log stem verbose =
   setup_logs verbose;
   let ( let* ) = Result.bind in
   let loaded =
@@ -794,9 +785,7 @@ let run_serve files host port workers queue request_timeout_ms io_timeout
         if join_cache > 0 then
           Some
             (Xfrag_core.Join_cache.create ~synchronized:true
-               ~capacity:join_cache
-               ?stripes:(if cache_stripes > 0 then Some cache_stripes else None)
-               ())
+               ~capacity:join_cache ())
         else None
       in
       let default_deadline_ns =
@@ -877,7 +866,7 @@ let serve_cmd =
     Term.(
       const run_serve $ files_arg $ host_arg $ port_arg $ workers_arg
       $ queue_arg $ request_timeout_arg $ io_timeout_arg
-      $ serve_join_cache_arg $ cache_stripes_arg $ shards_arg $ serve_slow_ms_arg
+      $ serve_join_cache_arg $ shards_arg $ serve_slow_ms_arg
       $ access_log_arg $ stem_arg $ verbose_arg)
 
 let main_cmd =

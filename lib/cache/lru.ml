@@ -24,27 +24,17 @@ module Make (K : KEY) = struct
     table : 'v node H.t;
     mutable head : 'v node option;
     mutable tail : 'v node option;
-    mutable generation : int;
-    mutable hits : int;
-    mutable misses : int;
     mutable evictions : int;
-    mutable invalidations : int;
   }
 
-  let create ?(generation = 0) ~capacity () =
+  let create ~capacity () =
     {
       capacity;
       table = H.create (min 1024 (max 16 capacity));
       head = None;
       tail = None;
-      generation;
-      hits = 0;
-      misses = 0;
       evictions = 0;
-      invalidations = 0;
     }
-
-  let capacity t = t.capacity
 
   let length t = H.length t.table
 
@@ -70,14 +60,9 @@ module Make (K : KEY) = struct
   let find t k =
     match H.find_opt t.table k with
     | Some n ->
-        t.hits <- t.hits + 1;
         touch t n;
         Some n.value
-    | None ->
-        t.misses <- t.misses + 1;
-        None
-
-  let mem t k = H.mem t.table k
+    | None -> None
 
   let evict_lru t =
     match t.tail with
@@ -99,27 +84,5 @@ module Make (K : KEY) = struct
           H.replace t.table k n;
           push_front t n
 
-  let clear t =
-    H.reset t.table;
-    t.head <- None;
-    t.tail <- None
-
-  let generation t = t.generation
-
-  let set_generation t g =
-    if g <> t.generation then begin
-      (* Adopting a generation on an empty cache (notably the very first
-         use) discards nothing and is not an invalidation event. *)
-      if H.length t.table > 0 then t.invalidations <- t.invalidations + 1;
-      clear t;
-      t.generation <- g
-    end
-
-  let hits t = t.hits
-
-  let misses t = t.misses
-
   let evictions t = t.evictions
-
-  let invalidations t = t.invalidations
 end

@@ -5,17 +5,9 @@
     and insertion is amortized O(1): a hash table indexes an intrusive
     doubly-linked recency list.
 
-    Caches keep cumulative counters ([hits], [misses], [evictions],
-    [invalidations]) that survive {!clear} — they describe the cache's
-    whole lifetime, which is what an operations dashboard wants; per-query
-    deltas are the caller's job (see [Xfrag_core.Op_stats]).
-
-    A cache additionally carries a [generation] stamp.  Cached entries
-    are only meaningful relative to the world they were computed in (for
-    the join cache: one built corpus); {!set_generation} with a new stamp
-    drops every entry and counts one invalidation, so a caller can simply
-    stamp the cache with its current world's generation before each
-    lookup and stale hits become impossible.
+    The only counter is the lifetime {!evictions} count; hits, misses
+    and the world a table's entries belong to are the caller's to track
+    (the join cache keeps them per partition and in [Op_stats]).
 
     Capacity 0 (or negative) is a legal degenerate cache: every lookup
     misses, insertions are dropped, nothing is ever stored.  This gives
@@ -23,8 +15,8 @@
     in every hot-path signature.
 
     Not domain-safe: share a cache between domains only under external
-    synchronization (the join path simply bypasses the cache inside
-    parallel workers). *)
+    synchronization (the join cache holds a stripe lock around every
+    call). *)
 
 module type KEY = sig
   type t
@@ -37,44 +29,20 @@ end
 module Make (K : KEY) : sig
   type 'v t
 
-  val create : ?generation:int -> capacity:int -> unit -> 'v t
+  val create : capacity:int -> unit -> 'v t
   (** [capacity <= 0] creates a disabled cache (see above). *)
-
-  val capacity : 'v t -> int
 
   val length : 'v t -> int
   (** Live entries, [0 <= length <= max 0 capacity]. *)
 
   val find : 'v t -> K.t -> 'v option
-  (** Lookup; on a hit the entry becomes most-recently-used.  Counts one
-      hit or one miss. *)
+  (** Lookup; on a hit the entry becomes most-recently-used. *)
 
   val add : 'v t -> K.t -> 'v -> unit
   (** Insert as most-recently-used, evicting the least-recently-used
       entry if the cache is full.  Re-adding an existing key replaces its
-      value and refreshes its recency without eviction.  Does not count a
-      hit or a miss. *)
-
-  val mem : 'v t -> K.t -> bool
-  (** Membership without touching recency or counters. *)
-
-  val clear : 'v t -> unit
-  (** Drop every entry.  Counters and generation are preserved. *)
-
-  val generation : 'v t -> int
-
-  val set_generation : 'v t -> int -> unit
-  (** [set_generation c g]: if [g] differs from [generation c], drop
-      every entry and adopt [g], counting one invalidation when the
-      cache actually held entries (adopting a generation on an empty
-      cache — notably the first use — discards nothing and is not an
-      invalidation event); otherwise do nothing. *)
-
-  val hits : 'v t -> int
-
-  val misses : 'v t -> int
+      value and refreshes its recency without eviction. *)
 
   val evictions : 'v t -> int
-
-  val invalidations : 'v t -> int
+  (** Entries displaced by {!add} over the cache's lifetime. *)
 end

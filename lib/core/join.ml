@@ -93,86 +93,3 @@ let pairwise ?stats ?cache ?trace ?deadline ctx s1 s2 =
 
 let pairwise_filtered ?stats ?cache ?trace ?deadline ctx ~keep s1 s2 =
   pairwise_general ?stats ?cache ?trace ?deadline ctx ~keep s1 s2
-
-let pairwise_parallel ?stats ?cache ?trace ?domains ?(keep = fun _ -> true) ctx s1 s2 =
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> min 8 (Domain.recommended_domain_count ())
-  in
-  let elems = Array.of_list (Frag_set.elements s1) in
-  let n = Array.length elems in
-  if domains = 1 || n < 2 * domains then
-    pairwise_general ?stats ?cache ?trace ctx ~keep s1 s2
-  else begin
-    (* One span in the spawning domain around the whole fan-out; workers
-       do not touch the tracer (its open-span stack is per-tracer) and
-       bypass the join cache (it is not domain-safe). *)
-    let run () =
-      let chunk = (n + domains - 1) / domains in
-      let worker lo =
-        Domain.spawn (fun () ->
-            (* Per-domain counters; folded into [stats] after the join. *)
-            let local = Op_stats.create () in
-            let out =
-              Frag_set.Builder.create
-                ~size_hint:
-                  (product_hint
-                     (min chunk (max 0 (n - lo)))
-                     (Frag_set.cardinal s2))
-                ()
-            in
-            for i = lo to min (lo + chunk - 1) (n - 1) do
-              Frag_set.iter
-                (fun f2 ->
-                  let f = compute_fragment ~stats:local ctx elems.(i) f2 in
-                  local.Op_stats.candidates <- local.Op_stats.candidates + 1;
-                  if keep f then begin
-                    if not (Frag_set.Builder.add out f) then
-                      local.Op_stats.duplicates <- local.Op_stats.duplicates + 1
-                  end
-                  else local.Op_stats.pruned <- local.Op_stats.pruned + 1)
-                s2
-            done;
-            (Frag_set.Builder.freeze out, local))
-      in
-      let handles = List.init domains (fun d -> worker (d * chunk)) in
-      let results = List.map Domain.join handles in
-      let merged =
-        List.fold_left
-          (fun acc (set, _) -> Frag_set.union acc set)
-          (Frag_set.empty ()) results
-      in
-      bump stats (fun s ->
-          List.iter (fun (_, local) -> Op_stats.merge s local) results;
-          (* Per-domain counters only see collisions within their own
-             partition; fragments produced independently by two domains
-             collapse in the union above.  Charging that difference to
-             [duplicates] makes the parallel accounting identical to the
-             serial one: per-domain collisions + cross-domain collapses
-             = kept candidates − distinct results, exactly what the
-             sequential loop counts. *)
-          let kept_per_domain =
-            List.fold_left (fun acc (set, _) -> acc + Frag_set.cardinal set) 0 results
-          in
-          s.Op_stats.duplicates <-
-            s.Op_stats.duplicates + (kept_per_domain - Frag_set.cardinal merged));
-      merged
-    in
-    match trace with
-    | None -> run ()
-    | Some trace when not (Trace.is_enabled trace) -> run ()
-    | Some trace ->
-        Trace.with_span trace
-          ~attrs:
-            [
-              ("left", Json.Int (Frag_set.cardinal s1));
-              ("right", Json.Int (Frag_set.cardinal s2));
-              ("domains", Json.Int domains);
-            ]
-          "pairwise-join-parallel"
-          (fun () ->
-            let out = run () in
-            Trace.add_attr trace "out" (Json.Int (Frag_set.cardinal out));
-            out)
-  end

@@ -77,24 +77,3 @@ val pairwise_filtered :
     is produced — the primitive behind Theorem 3 push-down evaluation.
     Only sound when [keep] is anti-monotonic (the caller guarantees
     this). *)
-
-val pairwise_parallel :
-  ?stats:Op_stats.t ->
-  ?cache:Join_cache.t ->
-  ?trace:Xfrag_obs.Trace.t ->
-  ?domains:int ->
-  ?keep:(Fragment.t -> bool) ->
-  Context.t ->
-  Frag_set.t ->
-  Frag_set.t ->
-  Frag_set.t
-(** {!pairwise_filtered} with the outer operand partitioned across
-    OCaml 5 domains (default: [Domain.recommended_domain_count], capped
-    at 8).  The context is only read, so sharing it is safe; results are
-    merged deterministically.  Falls back to the sequential path for
-    small inputs.  [stats] is updated once at the end with the summed
-    per-domain counters plus the cross-domain duplicate collapses, so
-    [candidates], [duplicates] and [pruned] match what the sequential
-    join reports on the same input.  [cache] is honored only on the
-    sequential fallback — the memo table is not domain-safe, so workers
-    always compute their joins directly. *)

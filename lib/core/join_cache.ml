@@ -12,54 +12,6 @@ end
 
 module Lru = Xfrag_cache.Lru.Make (Pair_key)
 
-module Admission = struct
-  type t = Admit_all | Admit_none | Min_nodes of int | Second_touch
-
-  let to_string = function
-    | Admit_all -> "all"
-    | Admit_none -> "none"
-    | Min_nodes n -> string_of_int n
-    | Second_touch -> "second-touch"
-
-  let of_string s =
-    match String.lowercase_ascii (String.trim s) with
-    | "all" -> Ok Admit_all
-    | "none" -> Ok Admit_none
-    | "second-touch" | "second_touch" | "touch2" -> Ok Second_touch
-    | s -> (
-        match int_of_string_opt s with
-        | Some n when n >= 0 -> Ok (Min_nodes n)
-        | _ ->
-            Error
-              (Printf.sprintf
-                 "XFRAG_CACHE_ADMIT: expected all | none | second-touch | \
-                  <min-nodes>, got %S"
-                 s))
-
-  let default () =
-    match Sys.getenv_opt "XFRAG_CACHE_ADMIT" with
-    | None -> Min_nodes 0
-    | Some s -> ( match of_string s with Ok a -> a | Error _ -> Min_nodes 0)
-
-  (* Does attaching the cache pay for a strategy of this shape?  On
-     pruned strategies (pushdown family) operands stay small — bounded
-     by the anti-monotone filter — so probing is cheap and hits erase
-     whole joins: measured 3-4x wins.  On unpruned strategies the
-     operands are the huge intermediate fragments themselves; hashing
-     one to probe costs as much as joining it, so even a 20% hit rate
-     loses 2-4x.  The default policies therefore decline unpruned
-     strategies outright; [Admit_all] forces attachment everywhere, and
-     an explicit [Min_nodes n > 0] threshold widens to unpruned
-     strategies too (the caller asked for selective memoization, and the
-     size gate runs before any hashing). *)
-  let pays t ~pruned =
-    match t with
-    | Admit_all -> true
-    | Admit_none -> false
-    | Min_nodes n -> pruned || n > 0
-    | Second_touch -> pruned
-end
-
 (* One partition per context generation: a document's entries and
    interned ids live and die together, so a request against doc B can
    never invalidate doc A's warm entries — the failure mode of the old
@@ -77,7 +29,6 @@ type partition = {
 type stripe = {
   lock : Mutex.t option;
   mutable parts : partition list;  (* MRU first; length <= max_docs *)
-  touched : int array;  (* second-touch fingerprint sketch; [||] unless used *)
 }
 
 type t = {
@@ -85,7 +36,6 @@ type t = {
   capacity : int;
   part_capacity : int;
   max_docs : int;
-  admission : Admission.t;
   (* Lifetime counters are [Atomic] so the metrics/scratch paths can
      read them without the stripe locks (and without tearing). *)
   c_hits : int Atomic.t;
@@ -93,33 +43,17 @@ type t = {
   c_evictions : int Atomic.t;
   c_invalidations : int Atomic.t;
   c_rejected : int Atomic.t;
-  last_gen : int Atomic.t;
 }
 
 let default_capacity = 1 lsl 16
 
 let default_max_docs = 4
 
-let default_stripes () =
-  match Sys.getenv_opt "XFRAG_CACHE_STRIPES" with
-  | Some s -> (
-      match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 8)
-  | None -> 8
-
-let sketch_slots = 2048
-
-let create ?(synchronized = false) ?(capacity = default_capacity) ?stripes
-    ?(max_docs = default_max_docs) ?admission () =
-  let admission =
-    match admission with Some a -> a | None -> Admission.default ()
-  in
+let create ?(synchronized = false) ?(capacity = default_capacity)
+    ?(stripes = 8) ?(max_docs = default_max_docs) () =
   (* An unsynchronized cache is single-domain by contract, so striping
      buys nothing; force one stripe and skip the mutexes entirely. *)
-  let nstripes =
-    if synchronized then
-      max 1 (match stripes with Some n -> n | None -> default_stripes ())
-    else 1
-  in
+  let nstripes = if synchronized then max 1 stripes else 1 in
   let part_capacity = if capacity <= 0 then 0 else max 1 (capacity / nstripes) in
   {
     stripes =
@@ -127,37 +61,28 @@ let create ?(synchronized = false) ?(capacity = default_capacity) ?stripes
           {
             lock = (if synchronized then Some (Mutex.create ()) else None);
             parts = [];
-            touched =
-              (match admission with
-              | Admission.Second_touch -> Array.make sketch_slots 0
-              | _ -> [||]);
           });
     capacity;
     part_capacity;
     max_docs = max 1 max_docs;
-    admission;
     c_hits = Atomic.make 0;
     c_misses = Atomic.make 0;
     c_evictions = Atomic.make 0;
     c_invalidations = Atomic.make 0;
     c_rejected = Atomic.make 0;
-    (* -1 never collides with a real context stamp (they start at 0). *)
-    last_gen = Atomic.make (-1);
   }
 
 let synchronized t = t.stripes.(0).lock <> None
 
-let capacity t = t.capacity
-
 let stripes t = Array.length t.stripes
 
-let max_docs t = t.max_docs
-
-let admission t = t.admission
-
-let enabled t = t.capacity > 0 && t.admission <> Admission.Admit_none
-
-let pays t ~pruned = enabled t && Admission.pays t.admission ~pruned
+(* Does attaching the cache pay for a strategy of this shape?  On
+   pruned strategies (pushdown family) operands stay small — bounded by
+   the anti-monotone filter — so probing is cheap and hits erase whole
+   joins: measured 3-4x wins.  On unpruned strategies the operands are
+   the huge intermediate fragments themselves; hashing one to probe
+   costs as much as joining it, so even a 20% hit rate loses 2-4x. *)
+let pays t ~pruned = t.capacity > 0 && pruned
 
 let hits t = Atomic.get t.c_hits
 
@@ -168,8 +93,6 @@ let evictions t = Atomic.get t.c_evictions
 let invalidations t = Atomic.get t.c_invalidations
 
 let rejected t = Atomic.get t.c_rejected
-
-let generation t = Atomic.get t.last_gen
 
 let with_stripe stripe f =
   match stripe.lock with
@@ -201,11 +124,6 @@ let partitions t =
     (fun acc stripe ->
       acc + with_stripe stripe (fun () -> List.length stripe.parts))
     0 t.stripes
-
-let clear t =
-  Array.iter
-    (fun stripe -> with_stripe stripe (fun () -> stripe.parts <- []))
-    t.stripes
 
 (* Retiring one generation is the document-mutation hook: replacing or
    deleting a document invalidates exactly its partition (its interner
@@ -265,7 +183,7 @@ let partition_of t stripe gen =
           let p =
             {
               part_gen = gen;
-              lru = Lru.create ~generation:gen ~capacity:t.part_capacity ();
+              lru = Lru.create ~capacity:t.part_capacity ();
               interner = Fragment.Interner.create ();
             }
           in
@@ -282,51 +200,15 @@ let probe t stripe gen f1 f2 =
 
 let bump stats f = match stats with None -> () | Some s -> f s
 
-(* The [cache.admit] failpoint models a failing admission path (e.g. an
-   allocator refusing the entry): an injected raise degrades to "don't
-   memoize this join" — answers are unchanged, the skip is counted —
-   instead of escaping into the evaluation. *)
-let admit () =
-  match Xfrag_fault.Fault.Failpoint.hit "cache.admit" with
-  | () -> true
-  | exception Xfrag_fault.Fault.Injected _ ->
-      Xfrag_fault.Fault.record "cache_admit_skipped";
-      false
-
-(* Second-touch admission: a fixed-size per-stripe fingerprint sketch
-   remembers keys that missed once; a key is only stored the second time
-   it is requested, so one-shot joins never pay insert/evict churn.
-   Collisions merely admit early or forget a first touch — harmless
-   either way.  Mutates the sketch, so call under the stripe lock. *)
-let second_touch_ok t stripe part (i1, i2) =
-  match t.admission with
-  | Admission.Second_touch ->
-      let fp =
-        ((part.part_gen * 0x9e3779b1) lxor (i1 * 0x85ebca77)
-        lxor (i2 * 0xc2b2ae35))
-        land max_int
-      in
-      let fp = if fp = 0 then 1 else fp in
-      let slot = fp land (sketch_slots - 1) in
-      if stripe.touched.(slot) = fp then true
-      else begin
-        stripe.touched.(slot) <- fp;
-        false
-      end
-  | _ -> true
-
-(* Store under the stripe lock; returns [(stored, evicted)]. *)
-let store t stripe part key result =
-  if second_touch_ok t stripe part key then begin
-    let ev0 = Lru.evictions part.lru in
-    Lru.add part.lru key result;
-    (* Interning the result means a later join that uses it as an
-       operand (every fixed-point round does) gets its id for one
-       hashtable probe. *)
-    ignore (Fragment.Interner.intern part.interner result);
-    (true, Lru.evictions part.lru - ev0)
-  end
-  else (false, 0)
+(* Store under the stripe lock; returns the entries evicted. *)
+let store part key result =
+  let ev0 = Lru.evictions part.lru in
+  Lru.add part.lru key result;
+  (* Interning the result means a later join that uses it as an operand
+     (every fixed-point round does) gets its id for one hashtable
+     probe. *)
+  ignore (Fragment.Interner.intern part.interner result);
+  Lru.evictions part.lru - ev0
 
 let charge_miss t ?stats ~stored ~evicted () =
   Atomic.incr t.c_misses;
@@ -350,10 +232,7 @@ let find_or_join_unlocked t stripe ?stats gen f1 f2 ~join =
       result
   | None ->
       let result = join () in
-      let stored, evicted =
-        if admit () then store t stripe part key result else (false, 0)
-      in
-      charge_miss t ?stats ~stored ~evicted ();
+      charge_miss t ?stats ~stored:true ~evicted:(store part key result) ();
       result
 
 (* Synchronized path: lookup and store are separate critical sections so
@@ -375,48 +254,21 @@ let find_or_join_locked t stripe m ?stats gen f1 f2 ~join =
       result
   | None ->
       let result = join () in
-      (* Admission decided before taking the lock: the failpoint action
-         (raise, delay) must never run while holding a cache mutex. *)
-      let admitted = admit () in
-      let stored, evicted =
-        if admitted then begin
-          Mutex.lock m;
-          let r =
-            if List.memq part stripe.parts then store t stripe part key result
-            else (false, 0)
-          in
-          Mutex.unlock m;
-          r
-        end
-        else (false, 0)
-      in
+      Mutex.lock m;
+      let stored = List.memq part stripe.parts in
+      let evicted = if stored then store part key result else 0 in
+      Mutex.unlock m;
       charge_miss t ?stats ~stored ~evicted ();
       result
 
-let size_admitted t f1 f2 =
-  match t.admission with
-  | Admission.Min_nodes n when n > 0 ->
-      Fragment.size f1 + Fragment.size f2 >= n
-  | _ -> true
-
 let find_or_join t ?stats ctx f1 f2 ~join =
-  if not (enabled t) then join ()
-  else if not (size_admitted t f1 f2) then begin
-    (* Rejected before any interning or locking: the whole point of the
-       size gate is that declined joins cost two O(1) size reads. *)
-    Atomic.incr t.c_rejected;
-    bump stats (fun s ->
-        s.Op_stats.cache_rejected <- s.Op_stats.cache_rejected + 1);
-    join ()
-  end
-  else begin
+  if t.capacity <= 0 then join ()
+  else
     let gen = ctx.Context.generation in
-    if Atomic.get t.last_gen <> gen then Atomic.set t.last_gen gen;
     let stripe = stripe_of t f1 f2 in
     match stripe.lock with
     | None -> find_or_join_unlocked t stripe ?stats gen f1 f2 ~join
     | Some m -> find_or_join_locked t stripe m ?stats gen f1 f2 ~join
-  end
 
 let metrics_assoc t =
   [

@@ -28,34 +28,25 @@
     impossible by construction: an interned id is only ever interpreted
     inside the partition that allocated it.
 
-    {b Admission.}  Not every join is worth memoizing: on unpruned
-    strategies the operands are huge intermediate fragments, and hashing
-    one to probe the table costs as much as joining it.  The
-    {!Admission} policy decides (a) whether attaching the cache {!pays}
-    for a strategy at all — the evaluator detaches it when not — and
-    (b) which individual results to store ([Min_nodes] size threshold,
-    checked in O(1) before any hashing; [Second_touch] sketch that only
-    stores keys missed twice).  Declined stores bump the [rejected]
-    counter.  The default comes from [XFRAG_CACHE_ADMIT]
-    ([all] | [none] | [second-touch] | a minimum combined operand node
-    count), falling back to [Min_nodes 0]: store everything, but only on
-    pruned (pushdown-family) strategies, where measurements show the
-    cache always wins.
+    {b What is stored.}  Every missed join is stored.  Whether the
+    cache is attached at all is decided per strategy ({!pays}): on
+    unpruned strategies the operands are huge intermediate fragments,
+    and hashing one to probe the table costs as much as joining it, so
+    the evaluator detaches the cache there and keeps it on the pruned
+    (pushdown-family) strategies, where measurements show it wins.
 
     {b Why answers are unchanged.}  [Join.fragment] is a pure function
     of the context and the two operands; the cache only ever returns a
     value previously computed by the same function for structurally
     equal operands under the same generation.  Strategy answer sets are
-    therefore bit-identical with the cache on or off, under any
-    admission policy and stripe count (property-tested).
+    therefore bit-identical with the cache on or off, at any capacity
+    and stripe count (property-tested).
 
-    {b Concurrency.}  By default not domain-safe: [Join.pairwise_parallel]
-    workers bypass the cache rather than serialize on a lock, and only
-    the calling domain's sequential joins are memoized.  A cache created
-    with [~synchronized:true] is split into [stripes] mutex-guarded
-    segments — an unordered pair always lands on one stripe (chosen from
-    the operands' O(1) root/size summaries), so worker domains contend
-    only when they touch the same segment.  Within a stripe the lookup
+    {b Concurrency.}  By default not domain-safe: one domain at a time
+    may use it.  A cache created with [~synchronized:true] is split into
+    [stripes] mutex-guarded segments — an unordered pair always lands on
+    one stripe (chosen from the operands' O(1) root/size summaries), so
+    worker domains contend only when they touch the same segment.  Within a stripe the lookup
     and the store are separate short critical sections, and the join
     itself — the expensive part, and the only part that can raise —
     always runs outside the lock, so an aborted evaluation (deadline,
@@ -68,57 +59,20 @@
     nothing) — useful to exercise the "disabled" configuration through
     the same code path. *)
 
-(** Store-admission policy, and the strategy-level "does caching pay"
-    model derived from it. *)
-module Admission : sig
-  type t =
-    | Admit_all  (** memoize every join, on every strategy *)
-    | Admit_none  (** never memoize (the cache becomes a no-op) *)
-    | Min_nodes of int
-        (** store only joins whose combined operand node count meets the
-            threshold; [Min_nodes 0] stores everything but still
-            declines unpruned strategies (see {!pays}) *)
-    | Second_touch
-        (** store a key only the second time it misses, so one-shot
-            joins never pay insert/evict churn *)
-
-  val of_string : string -> (t, string) result
-  (** Parses ["all"] | ["none"] | ["second-touch"] | a non-negative
-      integer (as [Min_nodes]). *)
-
-  val to_string : t -> string
-
-  val default : unit -> t
-  (** [XFRAG_CACHE_ADMIT] if set and well-formed, else [Min_nodes 0]. *)
-
-  val pays : t -> pruned:bool -> bool
-  (** Whether attaching a cache with this policy is expected to pay for
-      a strategy; [pruned] says the strategy bounds its operands with an
-      anti-monotone filter (pushdown family).  Unpruned strategies only
-      pay under [Admit_all] or an explicit [Min_nodes n > 0]. *)
-end
-
 type t
 
 val default_capacity : int
 (** 65536 entries, divided evenly across stripes. *)
 
 val create :
-  ?synchronized:bool ->
-  ?capacity:int ->
-  ?stripes:int ->
-  ?max_docs:int ->
-  ?admission:Admission.t ->
-  unit ->
-  t
+  ?synchronized:bool -> ?capacity:int -> ?stripes:int -> ?max_docs:int -> unit -> t
 (** A fresh, empty cache.  [capacity <= 0] gives the no-op cache.
     [synchronized] (default false) makes the cache safe to share across
-    domains/threads; only then does [stripes] apply (default
-    [XFRAG_CACHE_STRIPES] or 8; unsynchronized caches always have one
-    stripe and no mutex).  [max_docs] (default 4) bounds the retained
-    per-document partitions {e per stripe}; worst-case resident entries
-    are [max_docs * capacity].  [admission] defaults to
-    {!Admission.default}. *)
+    domains/threads; only then does [stripes] apply (default 8;
+    unsynchronized caches always have one stripe and no mutex).
+    [max_docs] (default 4) bounds the retained per-document partitions
+    {e per stripe}; worst-case resident entries are
+    [max_docs * capacity]. *)
 
 val synchronized : t -> bool
 
@@ -131,26 +85,19 @@ val find_or_join :
   join:(unit -> Fragment.t) ->
   Fragment.t
 (** [find_or_join t ctx f1 f2 ~join] returns the memoized [f1 ⋈ f2] if
-    present in [ctx]'s partition, else calls [join], stores its result
-    if admitted, and returns it.  Bumps [stats.cache_hits] /
-    [cache_misses] / [cache_evictions] / [cache_rejected] accordingly
-    ([join] itself is expected to count the actual join work). *)
-
-val enabled : t -> bool
-(** [capacity t > 0] and the admission policy is not [Admit_none]. *)
+    present in [ctx]'s partition, else calls [join], stores its result,
+    and returns it.  Bumps [stats.cache_hits] / [cache_misses] /
+    [cache_evictions] / [cache_rejected] accordingly ([join] itself is
+    expected to count the actual join work). *)
 
 val pays : t -> pruned:bool -> bool
-(** {!enabled} and {!Admission.pays} for this cache's policy.  The
-    evaluator consults this after strategy selection and detaches the
-    cache from strategies where it would lose. *)
-
-val capacity : t -> int
+(** [capacity > 0 && pruned]: whether attaching the cache is expected to
+    pay for a strategy; [pruned] says the strategy bounds its operands
+    with an anti-monotone filter (pushdown family).  The evaluator
+    consults this after strategy selection and detaches the cache from
+    strategies where it would lose. *)
 
 val stripes : t -> int
-
-val max_docs : t -> int
-
-val admission : t -> Admission.t
 
 val length : t -> int
 (** Live memo entries, summed across partitions and stripes. *)
@@ -160,14 +107,6 @@ val interned : t -> int
 
 val partitions : t -> int
 (** Live per-document partitions across all stripes. *)
-
-val generation : t -> int
-(** Generation of the most recently served context; [-1] before first
-    use.  (Other generations' partitions may still be warm.) *)
-
-val clear : t -> unit
-(** Drop all partitions (entries and interned ids); cumulative counters
-    survive. *)
 
 val retire : t -> generation:int -> unit
 (** Drop the one partition belonging to [generation] from every stripe
@@ -188,7 +127,8 @@ val invalidations : t -> int
     (each lost one document's memo state). *)
 
 val rejected : t -> int
-(** Joins the admission policy declined to memoize. *)
+(** Missed joins left unstored because their partition was evicted
+    while the join ran (synchronized caches only). *)
 
 val metrics_assoc : t -> (string * int) list
 (** Lifetime counters and gauges as [("cache.hits", …); …] — ready for

@@ -14,9 +14,11 @@ type t = {
   mutable fixpoint_rounds : int;  (** pairwise-join rounds executed *)
   mutable reduce_subset_checks : int;  (** subset tests inside ⊖ *)
   mutable cache_hits : int;  (** joins answered from the memo table *)
-  mutable cache_misses : int;  (** memoized joins computed then stored *)
+  mutable cache_misses : int;  (** joins computed on a cache miss *)
   mutable cache_evictions : int;  (** memo entries displaced by LRU *)
-  mutable cache_rejected : int;  (** joins the admission policy declined *)
+  mutable cache_rejected : int;
+      (** missed joins not stored because their partition was evicted
+          mid-join (shared synchronized cache only) *)
 }
 
 val create : unit -> t
@@ -25,8 +27,8 @@ val reset : t -> unit
 
 val merge : t -> t -> unit
 (** [merge dst src] adds every counter of [src] into [dst].  Used to
-    aggregate per-worker counters after a Domain-parallel join, and to
-    fold per-operator deltas into a query total. *)
+    fold per-document and per-shard counters into a corpus run's
+    total. *)
 
 val to_assoc : t -> (string * int) list
 (** Stable snapshot [(name, value)] in declaration order — the bridge

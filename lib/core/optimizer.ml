@@ -59,8 +59,8 @@ let decide ?stats ?(trace = Trace.disabled) ctx (r : Exec.Request.t) q scans =
   in
   (* Unpruned strategies carry large intermediate fragments whose O(n)
      probe hashing rivals the join itself (measured: naive lost 4x with
-     the cache on even at a 19% hit rate), so under the default
-     admission policy only the pruned ones keep the cache. *)
+     the cache on even at a 19% hit rate), so only the pruned ones keep
+     the cache ([Join_cache.pays]). *)
   let pruned =
     match strategy with
     | Pushdown | Pushdown_reduction | Semi_naive -> true

@@ -31,9 +31,8 @@
     cannot drift.
 
     The structure is functional (persistent maps) to match
-    [Corpus.add]'s functional contract, and serializable with the same
-    versioned, percent-escaped line format as [Codec]: decoding
-    untrusted bytes returns [Error], never raises. *)
+    [Corpus.add]'s functional contract.  It lives in memory only: a
+    corpus rebuilds it from its documents. *)
 
 type posting = {
   term_count : int;  (** total occurrences of the keyword in the doc *)
@@ -93,15 +92,8 @@ val score_bound : t -> doc:string -> keywords:string list -> float
     the document lacks) — an upper bound on [Ranking.score] for every
     fragment of the document. *)
 
-val to_string : t -> string
-
-val of_string : string -> (t, string) result
-(** Decode untrusted bytes: any corruption comes back as [Error],
-    never an exception. *)
-
-val save : t -> string -> unit
-(** Write {!to_string} to a file.  @raise Sys_error on I/O failure. *)
-
-val load : string -> (t, string) result
-(** Read and decode a file written by {!save}.
-    @raise Sys_error when the file cannot be opened. *)
+val equal : t -> t -> bool
+(** Same tokenizer options, same documents with the same node and
+    keyword counts, and the same postings, [max_weight] compared bit for
+    bit.  An index maintained incrementally is [equal] to one built from
+    scratch over the same documents, in any order. *)

@@ -1,17 +1,13 @@
-(* Request-id minting.  Ids must be unique within a process, cheap to
-   mint from any domain, and deterministic under test: the process seed
-   hashes pid + start time unless XFRAG_REQUEST_SEED pins it, and the
-   per-request suffix is a process-wide atomic counter. *)
+(* Request-id minting.  Ids must be unique within a process and cheap to
+   mint from any domain: the process seed hashes pid + start time, and
+   the per-request suffix is a process-wide atomic counter. *)
 
 let seed =
   lazy
-    (match Sys.getenv_opt "XFRAG_REQUEST_SEED" with
-    | Some s when s <> "" -> s
-    | _ ->
-        let pid = Unix.getpid () in
-        let t = Unix.gettimeofday () in
-        Printf.sprintf "%08x"
-          (Hashtbl.hash (pid, Int64.bits_of_float t) land 0xffffffff))
+    (let pid = Unix.getpid () in
+     let t = Unix.gettimeofday () in
+     Printf.sprintf "%08x"
+       (Hashtbl.hash (pid, Int64.bits_of_float t) land 0xffffffff))
 
 let counter = Atomic.make 0
 

@@ -3,10 +3,9 @@
     Every request handled by the server or the CLI corpus path carries
     a request id: either the client's inbound [X-Request-Id] (when it
     passes {!valid}) or a freshly minted [req-<seed>-<n>].  The seed
-    hashes pid + process start time — or honors [XFRAG_REQUEST_SEED]
-    verbatim for deterministic tests — and [n] is a process-wide
-    atomic counter, so minting is domain-safe and ids never collide
-    within a process. *)
+    hashes pid + process start time, and [n] is a process-wide atomic
+    counter, so minting is domain-safe and ids never collide within a
+    process. *)
 
 val mint : unit -> string
 (** A fresh [req-<seed>-<n>] id. *)

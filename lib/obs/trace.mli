@@ -11,8 +11,8 @@
 
     Span creation takes a mutex, so a tracer may be shared across
     domains; the open-span stack is global to the tracer, so only the
-    spawning domain should open spans during a parallel section (the
-    Domain-parallel join records one span around the whole fan-out). *)
+    spawning domain should open spans during a parallel section
+    ([Corpus.run] evaluates each document with tracing disabled). *)
 
 type span = {
   id : int;  (** unique within the tracer, in start order from 0 *)

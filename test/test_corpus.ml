@@ -205,10 +205,16 @@ let test_sharded_identical_to_sequential () =
 
 module JC = Xfrag_core.Join_cache
 
+(* Shared-cache capacities the corpus sweeps run at: nothing stored,
+   constant eviction, and the default. *)
+let cache_capacities =
+  [ ("capacity-0", 0); ("capacity-7", 7); ("default", JC.default_capacity) ]
+
 let test_sharded_cache_identical () =
   (* One synchronized striped cache shared by every shard worker:
      answers bit-identical to the uncached sequential baseline across
-     strategies x strict-leaf x shards {1,2,7} x admission policies. *)
+     strategies x strict-leaf x shards {1,2,7} x what the cache admits
+     (capacities 0, 7 and the default). *)
   let c = make_wide_corpus () in
   let keywords = [ "mangrove"; "estuary" ] in
   let scorer = tfidf_scorer keywords in
@@ -222,9 +228,9 @@ let test_sharded_cache_identical () =
           in
           let baseline = (Corpus.run ~shards:1 ~scorer c r).Corpus.hits in
           List.iter
-            (fun (variant, admission) ->
+            (fun (variant, capacity) ->
               let cache =
-                JC.create ~synchronized:true ~stripes:3 ~admission ()
+                JC.create ~synchronized:true ~stripes:3 ~capacity ()
               in
               let rc = Exec.Request.with_cache (Some cache) r in
               List.iter
@@ -237,11 +243,7 @@ let test_sharded_cache_identical () =
                     true
                     (hits_equal baseline sharded))
                 [ 1; 2; 7 ])
-            [
-              ("admit-all", JC.Admission.Admit_all);
-              ("min-nodes-4", JC.Admission.Min_nodes 4);
-              ("second-touch", JC.Admission.Second_touch);
-            ])
+            cache_capacities)
         [ false; true ])
     [ Eval.Auto; Eval.Naive_fixpoint; Eval.Semi_naive ]
 
@@ -252,8 +254,7 @@ let test_sharded_cache_serves_hits () =
      invalidation churn. *)
   let c = make_wide_corpus () in
   let cache =
-    JC.create ~synchronized:true ~max_docs:16
-      ~admission:JC.Admission.Admit_all ()
+    JC.create ~synchronized:true ~max_docs:16 ()
   in
   let r =
     request ~filter:(Filter.Size_at_most 6) [ "mangrove" ]
@@ -655,7 +656,7 @@ let test_routed_identical_to_full_scan () =
 
 let test_routed_identical_under_cache_admissions () =
   (* Routing composes with the shared synchronized cache: identical
-     answers for every admission policy and shard count. *)
+     answers at every capacity in [cache_capacities] and shard count. *)
   let c = make_wide_corpus () in
   let keywords = [ "mangrove"; "estuary" ] in
   let scorer = tfidf_scorer keywords in
@@ -663,8 +664,8 @@ let test_routed_identical_under_cache_admissions () =
   let r = request ~filter:(Filter.Size_at_most 6) ~limit:10 keywords in
   let baseline = full_scan ~scorer c r in
   List.iter
-    (fun (variant, admission) ->
-      let cache = JC.create ~synchronized:true ~stripes:3 ~admission () in
+    (fun (variant, capacity) ->
+      let cache = JC.create ~synchronized:true ~stripes:3 ~capacity () in
       let rc = Exec.Request.with_cache (Some cache) r in
       List.iter
         (fun shards ->
@@ -675,11 +676,7 @@ let test_routed_identical_under_cache_admissions () =
             true
             (hits_equal baseline o.Corpus.hits))
         [ 1; 2; 7 ])
-    [
-      ("admit-all", JC.Admission.Admit_all);
-      ("min-nodes-4", JC.Admission.Min_nodes 4);
-      ("second-touch", JC.Admission.Second_touch);
-    ]
+    cache_capacities
 
 let test_disagreeing_scorer_never_changes_answers () =
   (* A scorer the bound wildly disagrees with — negated tf·idf, so the
@@ -813,10 +810,10 @@ let test_remove_document () =
 (* The mutation property: any interleaving of add/replace/delete,
    queried, is bit-identical to a corpus built from scratch with the
    surviving documents — across shards {1,2,7} x routing on/off x cache
-   admission policies.  When both corpora kept their index, the
-   incrementally-maintained index also serializes bit-identically to
-   the from-scratch one (under the chaos legs one side may have
-   degraded down the maintenance ladder; answers must match anyway). *)
+   capacities.  When both corpora kept their index, the
+   incrementally-maintained index is also [Corpus_index.equal] to the
+   from-scratch one (under the chaos legs one side may have degraded
+   down the maintenance ladder; answers must match anyway). *)
 let test_mutation_equivalent_to_rebuild () =
   let doc seed plant =
     Docgen.with_planted_keywords { Docgen.default with seed; sections = 2 } ~plant
@@ -862,9 +859,9 @@ let test_mutation_equivalent_to_rebuild () =
         (Corpus.names fresh) (Corpus.names mutated);
       (match (Corpus.index mutated, Corpus.index fresh) with
       | Some mi, Some fi ->
-          Alcotest.(check string)
+          Alcotest.(check bool)
             (Printf.sprintf "script %d: index identical to rebuild" si)
-            (Corpus_index.to_string fi) (Corpus_index.to_string mi)
+            true (Corpus_index.equal fi mi)
       | _ -> (* a chaos leg degraded one side; answers still checked *) ());
       let baseline = full_scan ~scorer fresh r in
       List.iter
@@ -872,15 +869,15 @@ let test_mutation_equivalent_to_rebuild () =
           List.iter
             (fun shards ->
               List.iter
-                (fun (variant, admission) ->
+                (fun (variant, capacity) ->
                   let rc =
-                    match admission with
+                    match capacity with
                     | None -> r
-                    | Some admission ->
+                    | Some capacity ->
                         Exec.Request.with_cache
                           (Some
                              (JC.create ~synchronized:true ~stripes:3
-                                ~admission ()))
+                                ~capacity ()))
                           r
                   in
                   let bound =
@@ -896,11 +893,8 @@ let test_mutation_equivalent_to_rebuild () =
                        routing shards variant)
                     true
                     (hits_equal baseline o.Corpus.hits))
-                [
-                  ("no-cache", None);
-                  ("admit-all", Some JC.Admission.Admit_all);
-                  ("second-touch", Some JC.Admission.Second_touch);
-                ])
+                (("no-cache", None)
+                :: List.map (fun (v, c) -> (v, Some c)) cache_capacities))
             [ 1; 2; 7 ])
         [ false; true ])
     scripts
@@ -926,8 +920,8 @@ let test_retract_fault_falls_back_to_rebuild () =
       in
       (match (Corpus.index c', Corpus.index fresh) with
       | Some ri, Some fi ->
-          Alcotest.(check string) "rebuilt index identical to from-scratch"
-            (Corpus_index.to_string fi) (Corpus_index.to_string ri)
+          Alcotest.(check bool) "rebuilt index identical to from-scratch"
+            true (Corpus_index.equal fi ri)
       | _ -> Alcotest.fail "both corpora should be indexed");
       Alcotest.(check bool) "answers identical" true
         (hits_equal (full_scan ~scorer fresh r)

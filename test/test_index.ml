@@ -1,9 +1,9 @@
 (* Tests for the corpus-wide inverted index (lib/index): posting-list
    construction from the per-document indexes, conjunctive routing,
-   conservativeness of the per-document score bound, the serialization
-   round-trip on trusted and corrupt bytes, graceful degradation when
-   the index.build failpoint fires, and quarantine/index consistency
-   (a document that never loaded can never appear in a posting list). *)
+   conservativeness of the per-document score bound, structural equality
+   under insertion order and removal, graceful degradation when the
+   index.build failpoint fires, and quarantine/index consistency (a
+   document that never loaded can never appear in a posting list). *)
 
 module Corpus_index = Xfrag_index.Corpus_index
 module Inverted_index = Xfrag_doctree.Inverted_index
@@ -35,11 +35,13 @@ let docs () =
     ("c.xml", doc 3 [ ("estuary", 1) ]);
   ]
 
-let build_index () =
+let index_of docs =
   List.fold_left
     (fun idx (name, tree) ->
       Corpus_index.add_document idx ~name (Inverted_index.build tree))
-    Corpus_index.empty (docs ())
+    Corpus_index.empty docs
+
+let build_index () = index_of (docs ())
 
 let test_postings_and_stats () =
   let idx = build_index () in
@@ -147,59 +149,6 @@ let test_score_bound_is_conservative () =
     [ [ "mangrove" ]; [ "estuaries" ]; [ "mangroves"; "estuary" ] ];
   Alcotest.(check bool) "stemmed answers score" true (!scored > 0)
 
-let test_serialization_roundtrip () =
-  let idx = build_index () in
-  let s = Corpus_index.to_string idx in
-  match Corpus_index.of_string s with
-  | Error e -> Alcotest.fail ("roundtrip failed: " ^ e)
-  | Ok idx' ->
-      Alcotest.(check string) "bit-identical re-encoding" s
-        (Corpus_index.to_string idx');
-      Alcotest.(check int) "df survives" 2
-        (Corpus_index.document_frequency idx' "mangrove");
-      Alcotest.(check (list string)) "routing survives" [ "a.xml" ]
-        (Corpus_index.route idx' ~keywords:[ "mangrove"; "estuary" ]);
-      let b k d = Corpus_index.score_bound k ~doc:d ~keywords:[ "mangrove" ] in
-      Alcotest.(check (float 0.)) "bounds survive exactly" (b idx "a.xml")
-        (b idx' "a.xml")
-
-let test_save_load_file () =
-  let idx = build_index () in
-  let path = Filename.temp_file "xfrag_index" ".cidx" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Corpus_index.save idx path;
-      match Corpus_index.load path with
-      | Error e -> Alcotest.fail ("load failed: " ^ e)
-      | Ok idx' ->
-          Alcotest.(check string) "file roundtrip" (Corpus_index.to_string idx)
-            (Corpus_index.to_string idx'))
-
-let test_corrupt_bytes_are_errors () =
-  let idx = build_index () in
-  let s = Corpus_index.to_string idx in
-  let is_error d =
-    match Corpus_index.of_string d with Error _ -> true | Ok _ -> false
-  in
-  Alcotest.(check bool) "empty" true (is_error "");
-  Alcotest.(check bool) "wrong magic" true (is_error "not-an-index 1\n");
-  Alcotest.(check bool) "future version" true
-    (is_error "xfrag-corpus-index 99\noptions -\ndocs 0\nkeywords 0\n");
-  Alcotest.(check bool) "truncated" true
-    (is_error (String.sub s 0 (String.length s / 2)));
-  Alcotest.(check bool) "bogus doc count" true
-    (is_error "xfrag-corpus-index 1\noptions -\ndocs 5\nkeywords 0\n");
-  (* Flip a byte in every position of the small prefix; nothing may
-     raise. *)
-  let prefix = String.sub s 0 (min 200 (String.length s)) in
-  String.iteri
-    (fun i _ ->
-      let b = Bytes.of_string prefix in
-      Bytes.set b i '\xff';
-      ignore (Corpus_index.of_string (Bytes.to_string b)))
-    prefix
-
 let test_index_build_fault_degrades_to_full_scan () =
   let keywords = [ "mangrove" ] in
   let r = Exec.Request.default |> Exec.Request.with_keywords keywords in
@@ -279,6 +228,18 @@ let test_remove_document () =
   Alcotest.(check int) "unknown remove is a no-op" 2
     (Corpus_index.doc_count (Corpus_index.remove_document idx "nope.xml"))
 
+let test_equal_ignores_insertion_order () =
+  let forward = build_index () in
+  let backward = index_of (List.rev (docs ())) in
+  Alcotest.(check bool) "same documents, two orders" true
+    (Corpus_index.equal forward backward);
+  let removed = Corpus_index.remove_document forward "b.xml" in
+  Alcotest.(check bool) "not equal after remove_document" false
+    (Corpus_index.equal removed backward);
+  Alcotest.(check bool) "equal to a build without the document" true
+    (Corpus_index.equal removed
+       (index_of (List.filter (fun (n, _) -> n <> "b.xml") (docs ()))))
+
 let test_remove_document_passes_retract_failpoint () =
   let idx = build_index () in
   Fault.Failpoint.with_armed ~trigger:(Fault.Nth 1) "index.retract" Fault.Raise
@@ -318,12 +279,10 @@ let () =
           Alcotest.test_case "retract failpoint fires" `Quick
             test_remove_document_passes_retract_failpoint;
         ] );
-      ( "serialization",
+      ( "rebuild-equal",
         [
-          Alcotest.test_case "roundtrip" `Quick test_serialization_roundtrip;
-          Alcotest.test_case "save/load file" `Quick test_save_load_file;
-          Alcotest.test_case "corrupt bytes are errors" `Quick
-            test_corrupt_bytes_are_errors;
+          Alcotest.test_case "equal ignores insertion order" `Quick
+            test_equal_ignores_insertion_order;
         ] );
       ( "degradation",
         [

@@ -213,75 +213,6 @@ let pairwise_distributes_over_union =
             (Join.pairwise ctx s1 (Frag_set.union s2 s3))
             (Frag_set.union (Join.pairwise ctx s1 s2) (Join.pairwise ctx s1 s3))))
 
-let test_parallel_equals_sequential () =
-  let ctx = Random_tree.context ~seed:404 ~size:60 in
-  let prng = Prng.create 404 in
-  let s1 =
-    Frag_set.of_list (List.init 24 (fun _ -> Random_tree.fragment ctx prng))
-  in
-  let s2 =
-    Frag_set.of_list (List.init 10 (fun _ -> Random_tree.fragment ctx prng))
-  in
-  let sequential = Join.pairwise ctx s1 s2 in
-  List.iter
-    (fun domains ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%d domains" domains)
-        true
-        (Frag_set.equal sequential (Join.pairwise_parallel ~domains ctx s1 s2)))
-    [ 1; 2; 4 ];
-  (* Filtered variant, plus summed stats. *)
-  let keep f = Fragment.size f <= 5 in
-  let stats = Op_stats.create () in
-  let par = Join.pairwise_parallel ~stats ~domains:4 ~keep ctx s1 s2 in
-  Alcotest.(check bool) "filtered parallel = filtered sequential" true
-    (Frag_set.equal (Join.pairwise_filtered ctx ~keep s1 s2) par);
-  Alcotest.(check int) "summed candidates"
-    (Frag_set.cardinal s1 * Frag_set.cardinal s2)
-    stats.Op_stats.candidates
-
-let test_parallel_stats_match_serial () =
-  (* Regression: parallel workers used to drop Builder.add's result (no
-     per-domain duplicate counting) and cross-domain collapses were never
-     charged, so EXPLAIN ANALYZE reported different candidates/duplicates
-     depending on the domain count. *)
-  let ctx = Random_tree.context ~seed:505 ~size:50 in
-  let prng = Prng.create 505 in
-  let s1 =
-    Frag_set.of_list (List.init 20 (fun _ -> Random_tree.fragment ctx prng))
-  in
-  let s2 =
-    Frag_set.of_list (List.init 12 (fun _ -> Random_tree.fragment ctx prng))
-  in
-  let serial = Op_stats.create () in
-  let seq = Join.pairwise ~stats:serial ctx s1 s2 in
-  Alcotest.(check bool) "workload produces duplicates" true
-    (serial.Op_stats.duplicates > 0);
-  List.iter
-    (fun domains ->
-      let stats = Op_stats.create () in
-      let par = Join.pairwise_parallel ~stats ~domains ctx s1 s2 in
-      Alcotest.(check bool)
-        (Printf.sprintf "%d domains: same set" domains)
-        true (Frag_set.equal seq par);
-      Alcotest.(check int)
-        (Printf.sprintf "%d domains: candidates" domains)
-        serial.Op_stats.candidates stats.Op_stats.candidates;
-      Alcotest.(check int)
-        (Printf.sprintf "%d domains: duplicates" domains)
-        serial.Op_stats.duplicates stats.Op_stats.duplicates)
-    [ 1; 2; 4; 8 ];
-  (* Filtered variant: pruned and duplicates must match too. *)
-  let keep f = Fragment.size f <= 6 in
-  let serial_f = Op_stats.create () in
-  ignore (Join.pairwise_filtered ~stats:serial_f ctx ~keep s1 s2);
-  let par_f = Op_stats.create () in
-  ignore (Join.pairwise_parallel ~stats:par_f ~domains:4 ~keep ctx s1 s2);
-  Alcotest.(check int) "filtered: pruned" serial_f.Op_stats.pruned
-    par_f.Op_stats.pruned;
-  Alcotest.(check int) "filtered: duplicates" serial_f.Op_stats.duplicates
-    par_f.Op_stats.duplicates
-
 let pairwise_not_idempotent_witness () =
   (* The paper notes pairwise join is NOT idempotent; exhibit the
      counterexample: joining two disjoint single nodes creates a new
@@ -306,9 +237,6 @@ let () =
           Alcotest.test_case "pairwise_filtered prunes" `Quick test_pairwise_filtered_prunes;
           Alcotest.test_case "stats counting" `Quick test_stats_counting;
           Alcotest.test_case "pairwise not idempotent" `Quick pairwise_not_idempotent_witness;
-          Alcotest.test_case "parallel = sequential" `Quick test_parallel_equals_sequential;
-          Alcotest.test_case "parallel stats = serial stats" `Quick
-            test_parallel_stats_match_serial;
         ] );
       ( "laws",
         [
